@@ -97,11 +97,14 @@ class Database:
         queued, suspended, or even running — the caller (the server) is
         responsible for evicting it from the CPU if it was running.
         """
-        item = self.item(update.item)
+        key = update.item
+        item = self._items.get(key)
+        if item is None:
+            item = self.item(key)
         update.seq = item.record_arrival(now, update.value)
 
-        superseded = self._register.get(update.item)
-        self._register[update.item] = update
+        superseded = self._register.get(key)
+        self._register[key] = update
         if superseded is None or not self.invalidation:
             return None
         if superseded.alive:
@@ -123,10 +126,13 @@ class Database:
 
     def apply_update(self, update: Update, now: float) -> None:
         """Commit an update: refresh the replica and clear the register."""
-        item = self.item(update.item)
+        key = update.item
+        item = self._items.get(key)
+        if item is None:
+            item = self.item(key)
         item.apply(update.seq, update.value, now)
-        if self._register.get(update.item) is update:
-            del self._register[update.item]
+        if self._register.get(key) is update:
+            del self._register[key]
 
     # ------------------------------------------------------------------
     # Durability: snapshots, crash wipe, and WAL replay

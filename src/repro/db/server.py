@@ -218,25 +218,28 @@ class DatabaseServer:
         declined, not broken).
         """
         self._check_up()
-        self._observe("query_submitted", query)
-        if self._probe is not None:
-            self._probe.arrive(self.env.now, query)
+        now = self.env.now
+        if self.monitor is not None:
+            self._observe("query_submitted", query)
+        probe = self._probe
+        if probe is not None:
+            probe.arrive(now, query)
         if self.admission is not None and not self.admission.admit(
                 query, self):
             query.status = TxnStatus.REJECTED
-            query.finish_time = self.env.now
+            query.finish_time = now
             self.ledger.on_query_rejected(
-                query, self.env.now,
+                query, now,
                 shed=getattr(self.admission, "is_shedding", False))
             self._observe("query_rejected", query)
-            if self._probe is not None:
-                self._probe.reject(self.env.now, query)
+            if probe is not None:
+                probe.reject(now, query)
             return
         query.status = TxnStatus.QUEUED
-        self.ledger.on_query_submitted(query, self.env.now)
+        self.ledger.on_query_submitted(query, now)
         self.scheduler.submit_query(query)
-        if self._probe is not None:
-            self._probe.queued(self.env.now, query)
+        if probe is not None:
+            probe.queued(now, query)
         self._on_arrival(query)
 
     def adopt_query(self, query: Query) -> None:
@@ -261,32 +264,38 @@ class DatabaseServer:
     def submit_update(self, update: Update) -> None:
         """A blind update arrives from the external source."""
         self._check_up()
-        self._observe("update_submitted", update)
-        if self._probe is not None:
-            self._probe.arrive(self.env.now, update)
-        superseded = self.database.register_update(update, self.env.now)
+        now = self.env.now
+        if self.monitor is not None:
+            self._observe("update_submitted", update)
+        probe = self._probe
+        if probe is not None:
+            probe.arrive(now, update)
+        superseded = self.database.register_update(update, now)
         if superseded is not None:
-            self.ledger.on_update_superseded(superseded, self.env.now)
+            self.ledger.on_update_superseded(superseded, now)
             self.locks.release_all(superseded)
-            self._unblock_waiters()
+            if self._blocked:
+                self._unblock_waiters()
             if superseded.status is TxnStatus.DROPPED_SUPERSEDED:
                 # Only a live victim *transitioned* here; a register
                 # entry stranded by an earlier crash already reached its
                 # terminal (lost) state.
-                self._observe("update_superseded", superseded)
-                if self._probe is not None:
-                    self._probe.supersede(self.env.now, superseded, update)
+                if self.monitor is not None:
+                    self._observe("update_superseded", superseded)
+                if probe is not None:
+                    probe.supersede(now, superseded, update)
             if superseded is self._running:
                 self._proc.interrupt(_Superseded(superseded))
         update.status = TxnStatus.QUEUED
         self.scheduler.submit_update(update)
-        if self._probe is not None:
-            self._probe.queued(self.env.now, update)
+        if probe is not None:
+            probe.queued(now, update)
         self._on_arrival(update)
 
     def _on_arrival(self, txn: Transaction) -> None:
-        if self._idle_wakeup is not None and not self._idle_wakeup.triggered:
-            self._idle_wakeup.succeed()
+        wakeup = self._idle_wakeup
+        if wakeup is not None and not wakeup.triggered:
+            wakeup.succeed()
             return
         running = self._running
         if running is not None and self.scheduler.preempts(running, txn):
@@ -296,7 +305,16 @@ class DatabaseServer:
     # The executor process
     # ------------------------------------------------------------------
     def _executor(self) -> ProcessGenerator:
+        # One generator frame per server, not one per dispatch; what is
+        # fixed at construction is read into locals once.
         env = self.env
+        timeout = env.timeout
+        next_transaction = self.scheduler.next_transaction
+        quantum_of = self.scheduler.quantum
+        acquire_all = self.locks.acquire_all
+        probe = self._probe
+        drop_late = self.config.drop_late_queries
+        switch_overhead = self.config.class_switch_overhead
         while True:
             if self._crashed:
                 self._recover_event = env.event()
@@ -306,7 +324,8 @@ class DatabaseServer:
                     pass
                 self._recover_event = None
                 continue
-            txn = self.scheduler.next_transaction(env.now)
+            now = env.now
+            txn = next_transaction(now)
             if txn is None:
                 self._idle_wakeup = env.event()
                 try:
@@ -316,35 +335,83 @@ class DatabaseServer:
                 self._idle_wakeup = None
                 continue
 
-            if (txn.is_query and self.config.drop_late_queries
-                    and typing.cast(Query, txn).past_lifetime(env.now)):
-                self._drop_query(typing.cast(Query, txn))
-                continue
+            if isinstance(txn, Query):
+                if drop_late and txn.past_lifetime(now):
+                    self._drop_query(txn)
+                    continue
+                txn_class, mode = "query", LockMode.READ
+            else:
+                txn_class, mode = "update", LockMode.WRITE
 
             # Charge the class-switch overhead before the new class runs.
-            txn_class = "query" if txn.is_query else "update"
             if (self._last_class is not None
                     and txn_class != self._last_class
-                    and self.config.class_switch_overhead > 0):
+                    and switch_overhead > 0):
                 interrupted = yield from self._charge_overhead(txn)
                 if interrupted:
                     continue
+                now = env.now
             self._last_class = txn_class
 
             # 2PL-HP conservative acquisition over the full item set.
-            mode = LockMode.READ if txn.is_query else LockMode.WRITE
-            result = self.locks.acquire_all(txn, mode)
+            result = acquire_all(txn, mode)
             if not result.granted:
                 txn.status = TxnStatus.BLOCKED
                 self._blocked[txn] = self.locks.locks_of(txn) or frozenset(
                     txn.touched_items())
-                if self._probe is not None:
-                    self._probe.block(env.now, txn)
+                if probe is not None:
+                    probe.block(now, txn)
                 continue
             for loser in result.restarted:
                 self._handle_restart(loser)
 
-            yield from self._run(txn)
+            # Occupy the CPU, one scheduler-bounded slice at a time.
+            txn.status = TxnStatus.RUNNING
+            if probe is not None:
+                probe.running(now, txn, resumed=txn.start_time is not None)
+            if txn.start_time is None:
+                txn.start_time = now
+            self._running = txn
+            while True:
+                if txn.remaining <= _EPS:
+                    # Reached by a transaction preempted at the exact
+                    # instant its service finished (no work left).
+                    self._commit(txn)
+                    break
+                slice_ = txn.remaining
+                quantum = quantum_of(txn, now)
+                if quantum < slice_:
+                    slice_ = quantum
+                started = now
+                # Gray failure: a slowed replica stretches the wall-clock
+                # cost of each work slice.  The rate is captured per slice,
+                # so mid-slice slowdown changes take effect at the next
+                # slice boundary and the accounting stays exact; at the
+                # nominal rate the arithmetic below is bit-identical to the
+                # un-multiplied original.
+                rate = self._slowdown
+                try:
+                    yield timeout(slice_ if rate == 1.0 else slice_ * rate)
+                except Interrupt as interrupt:
+                    now = env.now
+                    elapsed = now - started
+                    txn.remaining -= (elapsed if rate == 1.0
+                                      else elapsed / rate)
+                    if probe is not None:
+                        probe.cpu_slice(started, now, txn)
+                    if self._handle_interrupt(
+                            txn, interrupt.cause) == "continue":
+                        continue
+                    break
+                txn.remaining -= slice_
+                if probe is not None:
+                    probe.cpu_slice(started, env.now, txn)
+                if txn.remaining <= _EPS:
+                    self._commit(txn)
+                else:  # quantum expired: the scheduler decides again
+                    self._suspend(txn)
+                break
+            self._running = None
 
     def _charge_overhead(self, txn: Transaction) -> ProcessGenerator:
         """Burn the switch overhead; returns True if interrupted (in which
@@ -374,57 +441,6 @@ class DatabaseServer:
             if self._probe is not None:
                 self._probe.overhead(started, self.env.now)
         return False
-
-    def _run(self, txn: Transaction) -> ProcessGenerator:
-        env = self.env
-        txn.status = TxnStatus.RUNNING
-        if self._probe is not None:
-            self._probe.running(env.now, txn,
-                                resumed=txn.start_time is not None)
-        if txn.start_time is None:
-            txn.start_time = env.now
-        self._running = txn
-
-        while True:
-            if txn.remaining <= _EPS:
-                # Covers both normal completion and the corner case of a
-                # transaction preempted at the exact instant its service
-                # finished (it re-enters here with no work left).
-                self._commit(txn)
-                break
-            quantum = self.scheduler.quantum(txn, env.now)
-            slice_ = min(txn.remaining, quantum)
-            started = env.now
-            # Gray failure: a slowed replica stretches the wall-clock
-            # cost of each work slice.  The rate is captured per slice,
-            # so mid-slice slowdown changes take effect at the next
-            # slice boundary and the accounting stays exact; at the
-            # nominal rate the arithmetic below is bit-identical to the
-            # un-multiplied original.
-            rate = self._slowdown
-            try:
-                yield env.timeout(slice_ if rate == 1.0 else slice_ * rate)
-            except Interrupt as interrupt:
-                elapsed = env.now - started
-                txn.remaining -= (elapsed if rate == 1.0
-                                  else elapsed / rate)
-                if self._probe is not None:
-                    self._probe.cpu_slice(started, env.now, txn)
-                action = self._handle_interrupt(txn, interrupt.cause)
-                if action == "continue":
-                    continue
-                break
-            txn.remaining -= slice_
-            if self._probe is not None:
-                self._probe.cpu_slice(started, env.now, txn)
-            if txn.remaining <= _EPS:
-                self._commit(txn)
-                break
-            # Quantum expired: hand the decision back to the scheduler.
-            self._suspend(txn)
-            break
-
-        self._running = None
 
     def _handle_interrupt(self, txn: Transaction, cause: object) -> str:
         """React to an interrupt while ``txn`` runs; returns "continue" to
@@ -490,13 +506,13 @@ class DatabaseServer:
     def _commit(self, txn: Transaction) -> None:
         now = self.env.now
         txn.finish_time = now
-        if txn.is_query:
+        if isinstance(txn, Query):
             # Quality metadata is filled in *before* the status flips so
             # that ``on_terminal`` observers (fired from the status
             # setter) see the completed record.
-            query = typing.cast(Query, txn)
+            query = txn
             query.staleness = self._measure_staleness(query, now)
-            qos, qod = query.qc.evaluate(query.response_time(),
+            qos, qod = query.qc.evaluate(now - query.arrival_time,
                                          query.staleness)
             if query.degraded:
                 # Brownout answers skip freshness work: the QoD half of
@@ -513,22 +529,26 @@ class DatabaseServer:
             txn.status = TxnStatus.COMMITTED
             self.ledger.on_query_committed(query, now)
             self.scheduler.notify_query_finished(query)
-            self._observe("query_committed", query,
-                          profit=query.total_profit)
+            if self.monitor is not None:
+                self._observe("query_committed", query,
+                              profit=query.total_profit)
             if self.query_outcome_hook is not None:
                 self.query_outcome_hook(query, True)
         else:
+            assert isinstance(txn, Update)
+            update = txn
             txn.status = TxnStatus.COMMITTED
-            update = typing.cast(Update, txn)
             self.database.apply_update(update, now)
             if self.wal is not None:
                 self.wal.append_applied(update, now)
             self.ledger.on_update_applied(update, now)
-            self._observe("update_applied", update)
+            if self.monitor is not None:
+                self._observe("update_applied", update)
         if self._probe is not None:
             self._probe.commit(now, txn)
         self.locks.release_all(txn)
-        self._unblock_waiters()
+        if self._blocked:
+            self._unblock_waiters()
 
     def _measure_staleness(self, query: Query, now: float) -> float:
         """The query's QoD metric per ``ServerConfig.qod_metric``."""
@@ -550,7 +570,8 @@ class DatabaseServer:
             self._probe.expire(self.env.now, query)
         if self.query_outcome_hook is not None:
             self.query_outcome_hook(query, False)
-        self._unblock_waiters()
+        if self._blocked:
+            self._unblock_waiters()
 
     def _handle_restart(self, loser: Transaction) -> None:
         """A 2PL-HP victim: progress lost, back to its queue."""

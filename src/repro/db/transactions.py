@@ -26,6 +26,10 @@ if typing.TYPE_CHECKING:  # pragma: no cover
 class TxnStatus(enum.Enum):
     """Lifecycle states of a transaction inside the server."""
 
+    #: ``self in LIVE_STATUSES``, filled in below the class: an attribute
+    #: read on the hot path where the set lookup hashes the member in Python.
+    live: bool
+
     #: Created but not yet submitted to a server.
     CREATED = "created"
     #: In a scheduler queue, waiting for the CPU.
@@ -57,12 +61,12 @@ LIVE_STATUSES = frozenset({
     TxnStatus.CREATED, TxnStatus.QUEUED, TxnStatus.RUNNING,
     TxnStatus.SUSPENDED, TxnStatus.BLOCKED,
 })
+for _member in TxnStatus:
+    _member.live = _member in LIVE_STATUSES
+del _member
 
+_INF = float("inf")
 _txn_ids = itertools.count(1)
-
-
-def _next_txn_id() -> int:
-    return next(_txn_ids)
 
 
 class Transaction:
@@ -74,10 +78,20 @@ class Transaction:
         "on_terminal",
     )
 
+    #: Class tags, overridden by the matching subclass.
+    is_query = False
+    is_update = False
+
     def __init__(self, arrival_time: float, exec_time: float) -> None:
-        if exec_time <= 0:
-            raise ValueError(f"exec_time must be positive, got {exec_time}")
-        self.txn_id = _next_txn_id()
+        # A chained comparison is False for NaN: each test rejects NaN, the
+        # infinities and the wrong sign here rather than deep in the kernel.
+        if not 0.0 < exec_time < _INF:
+            raise ValueError(
+                f"exec_time must be positive and finite, got {exec_time}")
+        if not -_INF < arrival_time < _INF:
+            raise ValueError(
+                f"arrival_time must be finite, got {arrival_time}")
+        self.txn_id = next(_txn_ids)
         self.arrival_time = arrival_time
         self.exec_time = exec_time
         #: Service time still owed; decremented as the CPU runs the txn.
@@ -114,7 +128,7 @@ class Transaction:
     def status(self, new: TxnStatus) -> None:
         old = self._status
         self._status = new
-        if new not in LIVE_STATUSES and old in LIVE_STATUSES:
+        if old.live and not new.live:
             if self._queue is not None:
                 # Died while queued (e.g. superseded by a newer update):
                 # tell the owning queue so its live accounting stays
@@ -124,17 +138,9 @@ class Transaction:
                 self.on_terminal(self)
 
     @property
-    def is_query(self) -> bool:
-        return isinstance(self, Query)
-
-    @property
-    def is_update(self) -> bool:
-        return isinstance(self, Update)
-
-    @property
     def alive(self) -> bool:
         """True while the transaction can still complete."""
-        return self.status in LIVE_STATUSES
+        return self._status.live
 
     @property
     def done(self) -> bool:
@@ -165,6 +171,7 @@ class Query(Transaction):
 
     __slots__ = ("items", "qc", "lifetime_deadline", "staleness",
                  "qos_profit", "qod_profit", "degraded", "shadow_priced")
+    is_query = True
 
     def __init__(self, arrival_time: float, exec_time: float,
                  items: typing.Sequence[str],
@@ -212,9 +219,15 @@ class Query(Transaction):
                 f"brownout factor must be in (0, 1], got {factor}")
         if self.degraded:
             return
+        scaled = self.exec_time * factor
+        if not 0.0 < scaled < _INF:
+            # A tiny factor can underflow the product to zero.
+            raise ValueError(
+                f"brownout service time must be positive and finite, "
+                f"got {self.exec_time} * {factor} = {scaled}")
         self.degraded = True
-        self.exec_time = self.exec_time * factor
-        self.remaining = self.exec_time
+        self.exec_time = scaled
+        self.remaining = scaled
 
     def __repr__(self) -> str:
         return (f"<Query #{self.txn_id} items={self.items!r} "
@@ -241,6 +254,7 @@ class Update(Transaction):
     """
 
     __slots__ = ("item", "value", "seq")
+    is_update = True
 
     def __init__(self, arrival_time: float, exec_time: float, item: str,
                  value: float = 0.0) -> None:

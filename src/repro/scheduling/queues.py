@@ -6,12 +6,13 @@ its lifetime deadline.  :class:`TransactionQueue` is a binary heap with lazy
 deletion — dead entries are skipped at pop time — plus membership tracking
 so a transaction is never queued twice.
 
-Liveness accounting is unified around one invariant: **membership implies
-liveness**.  Each queued transaction carries a back reference to its queue,
-and the transaction's status setter reports the moment it leaves the live
-set (see :class:`repro.db.transactions.Transaction`), so ``discard``,
-``pop``, and in-queue death all retire membership at the same place.  That
-makes ``len(queue)`` — and the per-class ``live_queries`` /
+Membership *is* the back reference: ``txn`` is a member of ``queue`` iff
+``txn._queue is queue`` (no parallel id set to keep in step).  Liveness
+accounting is unified around one invariant: **membership implies
+liveness**.  The transaction's status setter reports the moment it leaves
+the live set (see :class:`repro.db.transactions.Transaction`), so
+``discard``, ``pop``, and in-queue death all retire membership at the same
+place.  That makes ``len(queue)`` — and the per-class ``live_queries`` /
 ``live_updates`` counts the schedulers' ``pending_*`` introspection and the
 invariant monitor hit on every sample — an exact O(1) read instead of the
 former O(n) heap scan.
@@ -45,7 +46,6 @@ class TransactionQueue:
         self.policy = policy
         self.name = name
         self._heap: list[tuple[float, int, Transaction]] = []
-        self._members: set[int] = set()
         self._ties = itertools.count()
         #: Exact number of live queued queries / updates (O(1) reads).
         self.live_queries = 0
@@ -65,11 +65,12 @@ class TransactionQueue:
 
     def push(self, txn: Transaction) -> None:
         """Enqueue ``txn`` unless it is already queued or no longer alive."""
-        if not txn.alive or txn.txn_id in self._members:
+        queue = txn._queue
+        if queue is self or not txn.alive:
             return
+        assert queue is None, f"{txn!r} already waits in {queue!r}"
         key = self.policy.key(txn)
         heappush(self._heap, (key, next(self._ties), txn))
-        self._members.add(txn.txn_id)
         txn._queue = self
         if txn.is_query:
             self.live_queries += 1
@@ -79,10 +80,9 @@ class TransactionQueue:
     def pop(self) -> Transaction | None:
         """Dequeue the highest-priority live transaction (None if empty)."""
         heap = self._heap
-        members = self._members
         while heap:
             __, __, txn = heappop(heap)
-            if txn.txn_id not in members:
+            if txn._queue is not self:
                 continue
             self._retire(txn)
             if txn.alive:
@@ -92,20 +92,19 @@ class TransactionQueue:
     def peek(self) -> Transaction | None:
         """The transaction :meth:`pop` would return, without removing it."""
         heap = self._heap
-        members = self._members
         while heap:
             __, __, txn = heap[0]
-            if txn.txn_id in members and txn.alive:
+            if txn._queue is self and txn.alive:
                 return txn
             heappop(heap)
-            if txn.txn_id in members:
+            if txn._queue is self:
                 self._retire(txn)
         return None
 
     def discard(self, txn: Transaction) -> None:
         """Remove ``txn`` from the queue if present (lazy: the heap entry
         is skipped later, or swept by compaction)."""
-        if txn.txn_id in self._members:
+        if txn._queue is self:
             self._retire(txn)
             self._maybe_compact()
 
@@ -113,15 +112,13 @@ class TransactionQueue:
         """Status-setter hook: a queued transaction just left the live
         set.  Retire its membership immediately so live counts stay exact
         (its heap entry is reclaimed lazily)."""
-        if txn.txn_id in self._members:
+        if txn._queue is self:
             self._retire(txn)
             self._maybe_compact()
 
     def _retire(self, txn: Transaction) -> None:
         """Drop ``txn`` from membership and the live counters."""
-        self._members.discard(txn.txn_id)
-        if txn._queue is self:
-            txn._queue = None
+        txn._queue = None
         if txn.is_query:
             self.live_queries -= 1
         else:
@@ -135,12 +132,11 @@ class TransactionQueue:
         ``discard`` and in-queue deaths leave behind.
         """
         n = len(self._heap)
-        live = len(self._members)
+        live = self.live_queries + self.live_updates
         if (n >= COMPACT_MIN_ENTRIES
                 and n - live > COMPACT_DEAD_FACTOR * live):
-            members = self._members
             self._heap = [entry for entry in self._heap
-                          if entry[2].txn_id in members]
+                          if entry[2]._queue is self]
             heapify(self._heap)
 
     def is_empty(self) -> bool:

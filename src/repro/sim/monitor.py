@@ -272,7 +272,7 @@ class CounterSet:
         if counter is None:
             counter = Counter(name)
             self._counters[name] = counter
-        counter.increment(by)
+        counter.value += by
 
     def value(self, name: str) -> int:
         counter = self._counters.get(name)

@@ -1,10 +1,13 @@
 """Unit tests for the 2PL-HP lock manager."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.db.locks import AcquireOutcome, LockManager, LockMode
 from repro.db.transactions import Query, Update
 from repro.qc.contracts import QualityContract
+from tests.lock_reference import ReferenceLockManager
 
 
 def query(items=("A",), at=0.0):
@@ -155,3 +158,78 @@ class TestPriorityPredicateSwap:
         assert not locks.acquire_all(update("A"), LockMode.WRITE).granted
         locks.set_priority_predicate(lambda r, h: True)
         assert locks.acquire_all(update("A"), LockMode.WRITE).granted
+
+
+class TestSharedGrantIsImmutable:
+    """Every uncontended single-item grant is one shared object, so a
+    caller must not be able to change what the next caller reads."""
+
+    def test_fields_cannot_be_rebound(self):
+        locks = LockManager()
+        result = locks.acquire_all(update("A"), LockMode.WRITE)
+        for field, value in (("outcome", AcquireOutcome.BLOCKED),
+                             ("restarted", (update("A"),)),
+                             ("blocking_holders", (update("A"),)),
+                             ("extra", 1)):
+            with pytest.raises(AttributeError):
+                setattr(result, field, value)
+        again = locks.acquire_all(update("B"), LockMode.WRITE)
+        assert again.granted
+        assert again.restarted == () and again.blocking_holders == ()
+
+
+KEYS = ("A", "B", "C", "D")
+PREDICATES = {
+    "always": lambda requester, holder: True,
+    "never": lambda requester, holder: False,
+    "updates-win": lambda requester, holder: (requester.is_update
+                                              and holder.is_query),
+}
+
+
+class TestDifferentialAgainstReference:
+    """The production manager (with its uncontended fast path) and the
+    slow-path-only oracle in ``tests/lock_reference.py`` must agree on
+    every observable after every step of any program."""
+
+    @given(
+        predicate=st.sampled_from(sorted(PREDICATES)),
+        read_sets=st.lists(
+            st.lists(st.sampled_from(KEYS), min_size=1, max_size=3,
+                     unique=True), min_size=1, max_size=4),
+        write_keys=st.lists(st.sampled_from(KEYS), min_size=1, max_size=4),
+        program=st.lists(st.tuples(
+            st.sampled_from(["acquire", "release", "restart"]),
+            st.integers(min_value=0, max_value=7),
+            st.sampled_from([None, LockMode.READ, LockMode.WRITE])),
+            max_size=60))
+    @settings(max_examples=300, deadline=None)
+    def test_same_observables_after_every_step(self, predicate, read_sets,
+                                               write_keys, program):
+        pool = ([query(tuple(items)) for items in read_sets]
+                + [update(key) for key in write_keys])
+        has_priority = PREDICATES[predicate]
+        real = LockManager(has_priority)
+        oracle = ReferenceLockManager(has_priority)
+        for op, idx, forced_mode in program:
+            txn = pool[idx % len(pool)]
+            # Mostly the server's pairing (queries read, updates write),
+            # sometimes the other mode to reach every compatibility cell.
+            mode = forced_mode or (LockMode.READ if txn.is_query
+                                   else LockMode.WRITE)
+            if op != "acquire":
+                assert real.release_all(txn) == oracle.release_all(txn)
+            if op != "release":  # a restart is release + fresh request
+                got = real.acquire_all(txn, mode)
+                want = oracle.acquire_all(txn, mode)
+                assert (got.granted, got.restarted,
+                        got.blocking_holders) == want
+            assert ((real.conflicts, real.restarts_caused,
+                     real.blocks_caused)
+                    == (oracle.conflicts, oracle.restarts_caused,
+                        oracle.blocks_caused))
+            for member in pool:
+                assert real.locks_of(member) == oracle.locks_of(member)
+            for key in KEYS:
+                assert real.holders_of(key) == oracle.holders_of(key)
+                assert real.mode_of(key) is oracle.mode_of(key)

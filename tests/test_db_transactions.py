@@ -1,10 +1,16 @@
 """Unit tests for the transaction model."""
 
+import math
+
 import pytest
 
 from repro.db.transactions import (LIVE_STATUSES, Query, Transaction,
                                    TxnStatus, Update)
 from repro.qc.contracts import QualityContract
+from repro.scheduling.priorities import FCFSPriority
+from repro.scheduling.queues import TransactionQueue
+from repro.shard.planner import ShardPlanner
+from repro.sim import Environment
 
 
 def free_qc(lifetime=100.0):
@@ -22,6 +28,23 @@ class TestTransactionBasics:
             Update(0.0, 0.0, "X")
         with pytest.raises(ValueError):
             Query(0.0, -1.0, ("A",), free_qc())
+
+    @pytest.mark.parametrize("exec_time", [math.nan, math.inf, -math.inf,
+                                           0.0, -0.0, -1.0])
+    def test_non_finite_or_non_positive_exec_time_rejected(self, exec_time):
+        """Regression: ``exec_time <= 0`` let NaN through, and the run
+        died much later in the kernel as "non-finite time"."""
+        with pytest.raises(ValueError, match="exec_time"):
+            Update(0.0, exec_time, "X")
+        with pytest.raises(ValueError, match="exec_time"):
+            Query(0.0, exec_time, ("A",), free_qc())
+
+    @pytest.mark.parametrize("arrival", [math.nan, math.inf, -math.inf])
+    def test_non_finite_arrival_time_rejected(self, arrival):
+        with pytest.raises(ValueError, match="arrival_time"):
+            Update(arrival, 1.0, "X")
+        with pytest.raises(ValueError, match="arrival_time"):
+            Query(arrival, 1.0, ("A",), free_qc())
 
     def test_initial_state(self):
         update = Update(5.0, 2.0, "X")
@@ -84,6 +107,21 @@ class TestQuery:
         assert query.items == ("A", "B")
         assert query.touched_items() == ("A", "B")
 
+    def test_brownout_scales_service_time_once(self):
+        query = Query(0.0, 8.0, ("A",), free_qc())
+        query.apply_brownout(0.25)
+        query.apply_brownout(0.25)  # idempotent
+        assert query.degraded
+        assert query.exec_time == query.remaining == 2.0
+
+    def test_brownout_rejects_underflow_to_zero(self):
+        """A legal factor can still scale a tiny service time to 0.0,
+        which the constructor would have refused."""
+        query = Query(0.0, 5e-324, ("A",), free_qc())
+        with pytest.raises(ValueError, match="brownout service time"):
+            query.apply_brownout(0.25)
+        assert not query.degraded and query.exec_time == 5e-324
+
     def test_total_profit(self):
         query = Query(0.0, 5.0, ("A",), free_qc())
         query.qos_profit = 3.0
@@ -103,3 +141,69 @@ class TestUpdate:
 
     def test_seq_unassigned_until_registered(self):
         assert Update(0.0, 1.0, "X").seq == -1
+
+
+LIVE = sorted(LIVE_STATUSES, key=lambda status: status.value)
+TERMINAL = [status for status in TxnStatus if status not in LIVE_STATUSES]
+
+
+class _CountingQueue(TransactionQueue):
+    def __init__(self):
+        super().__init__(FCFSPriority())
+        self.deaths = []
+
+    def _note_death(self, txn):
+        self.deaths.append(txn)
+        super()._note_death(txn)
+
+
+class TestLifecycleTable:
+    """The O(1) predicates must stay in step with their sources of truth
+    (``LIVE_STATUSES``, the class hierarchy) for every member — the loops
+    run over the enum so a future status cannot be forgotten."""
+
+    def test_live_flag_matches_live_statuses_for_every_member(self):
+        assert LIVE and TERMINAL
+        for member in TxnStatus:
+            assert member.live is (member in LIVE_STATUSES), member
+
+    def test_alive_and_done_follow_the_flag(self):
+        for member in TxnStatus:
+            update = Update(0.0, 1.0, "X")
+            update.status = member
+            assert update.alive is member.live
+            assert update.done is (not member.live)
+
+    def test_class_predicates_are_exact(self):
+        base = Transaction(0.0, 1.0)
+        query = Query(0.0, 5.0, ("A", "B"), free_qc())
+        update = Update(0.0, 1.0, "X")
+        planner = ShardPlanner(Environment())
+        subs = [sub for _, sub in planner.fan_out(
+            query, {0: ["A"], 1: ["B"]})]
+        assert len(subs) == 2
+        for txn, is_query, is_update in (
+                [(base, False, False), (query, True, False),
+                 (update, False, True)]
+                + [(sub, True, False) for sub in subs]):
+            assert txn.is_query is is_query, txn
+            assert txn.is_update is is_update, txn
+            assert txn.is_query == isinstance(txn, Query)
+            assert txn.is_update == isinstance(txn, Update)
+
+    @pytest.mark.parametrize("terminal", TERMINAL, ids=lambda s: s.value)
+    @pytest.mark.parametrize("live", LIVE, ids=lambda s: s.value)
+    def test_terminal_edge_fires_hooks_exactly_once(self, live, terminal):
+        queue = _CountingQueue()
+        update = Update(0.0, 1.0, "X")
+        queue.push(update)
+        fired = []
+        update.on_terminal = fired.append
+        update.status = live            # live -> live: silent
+        assert fired == [] and queue.deaths == [] and len(queue) == 1
+        update.status = terminal        # the one live -> terminal edge
+        assert fired == [update] and queue.deaths == [update]
+        assert len(queue) == 0
+        for again in TERMINAL:          # terminal -> terminal: silent
+            update.status = again
+        assert fired == [update] and queue.deaths == [update]

@@ -138,22 +138,32 @@ class TestLiveCounts:
         q = TransactionQueue(FCFSPriority())
         pool = [update(at=float(k)) if k % 2 else query(at=float(k))
                 for k in range(12)]
+        # The oracle is the queue's observable contract, not its
+        # representation: queued = pushed while alive, and not since
+        # popped, discarded or killed.
+        queued = set()
         for op, idx in ops:
             txn = pool[idx]
             if op == "push":
                 q.push(txn)
+                if txn.alive:
+                    queued.add(txn)
             elif op == "pop":
-                q.pop()
+                head = min(queued, key=lambda t: t.arrival_time,
+                           default=None)
+                assert q.pop() is head
+                queued.discard(head)
             elif op == "discard":
                 q.discard(txn)
+                queued.discard(txn)
             elif txn.alive:  # kill: death while (possibly) queued
                 txn.status = TxnStatus.DROPPED_SUPERSEDED
-            live = [t for t in pool if t.txn_id in q._members]
-            # Membership implies liveness: deaths retire eagerly.
-            assert all(t.alive for t in live)
-            assert len(q) == len(live)
-            assert q.live_queries == sum(t.is_query for t in live)
-            assert q.live_updates == sum(t.is_update for t in live)
+                queued.discard(txn)
+            assert len(q) == len(queued)
+            assert q.live_queries == sum(t.is_query for t in queued)
+            assert q.live_updates == sum(t.is_update for t in queued)
+        assert list(q.drain()) == sorted(queued,
+                                         key=lambda t: t.arrival_time)
 
     def test_death_in_queue_updates_len_immediately(self):
         q = TransactionQueue(FCFSPriority())
