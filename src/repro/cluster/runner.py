@@ -17,7 +17,8 @@ from repro.sim.invariants import InvariantMonitor
 from repro.sim.process import ProcessGenerator
 from repro.sim.rng import StreamRegistry
 from repro.telemetry.hooks import KernelProbe, TelemetryKnob
-from repro.workload.traces import Trace
+from repro.workload.traces import (QueryRecord, Trace, UpdateRecord,
+                                   replay_rows)
 
 from .health import HealthConfig
 from .portal import ReplicatedPortal
@@ -110,15 +111,6 @@ class ClusterResult:
                 f"avail={self.availability:.3f}>")
 
 
-def _check_monotonic(kind: str, arrival_ms: float, previous: float,
-                     index: int) -> None:
-    if arrival_ms < previous:
-        raise ValueError(
-            f"malformed trace: {kind} #{index} arrives at "
-            f"{arrival_ms:.3f} ms, before the previous {kind} at "
-            f"{previous:.3f} ms — arrival times must be non-decreasing")
-
-
 def run_cluster_simulation(n_replicas: int,
                            scheduler_factory: typing.Callable[[], Scheduler],
                            trace: Trace,
@@ -166,9 +158,8 @@ def run_cluster_simulation(n_replicas: int,
     policy per replica (e.g. ``BrownoutAdmission`` to serve degraded
     answers under overload instead of shedding).
 
-    Traces are validated on the fly: non-monotonic arrival times raise
-    :class:`ValueError` instead of being silently replayed with zero
-    delay (which would corrupt every rate-derived statistic).
+    A trace stand-in whose arrival times are not non-decreasing raises
+    :class:`ValueError` (see :func:`repro.workload.traces.replay_rows`).
     """
     env = Environment()
     streams = StreamRegistry(master_seed)
@@ -185,36 +176,30 @@ def run_cluster_simulation(n_replicas: int,
     qc_rng = streams.stream("qc.sampler")
 
     def query_source(env: Environment) -> ProcessGenerator:
-        previous = 0.0
-        for i, record in enumerate(trace.queries):
-            _check_monotonic("query", record.arrival_ms, previous, i)
-            previous = record.arrival_ms
-            delay = record.arrival_ms - env.now
+        for arrival_ms, items, exec_ms in replay_rows(QueryRecord,
+                                                      trace.queries):
+            delay = arrival_ms - env.now
             if delay > 0:
                 yield env.timeout(delay)
             contract: QualityContract = qc_source.sample(qc_rng, env.now)
-            portal.submit_query(Query(env.now, record.exec_ms,
-                                      record.items, contract))
+            portal.submit_query(Query(env.now, exec_ms, items, contract))
             if injector is not None:
                 # Load spike: the flash crowd repeats the trace's demand.
                 for _ in range(injector.extra_query_copies()):
-                    portal.submit_query(Query(env.now, record.exec_ms,
-                                              record.items, contract))
+                    portal.submit_query(Query(env.now, exec_ms, items,
+                                              contract))
 
     def update_source(env: Environment) -> ProcessGenerator:
-        previous = 0.0
-        for i, record in enumerate(trace.updates):
-            _check_monotonic("update", record.arrival_ms, previous, i)
-            previous = record.arrival_ms
-            delay = record.arrival_ms - env.now
+        for arrival_ms, item, exec_ms, value in replay_rows(
+                UpdateRecord, trace.updates):
+            delay = arrival_ms - env.now
             if delay > 0:
                 yield env.timeout(delay)
             if injector is not None:
                 # A stalled source parks here; on resume the backlog
                 # (this and any overdue updates) bursts out at once.
                 yield from injector.update_gate()
-            portal.broadcast_update(env.now, record.exec_ms, record.item,
-                                    record.value)
+            portal.broadcast_update(env.now, exec_ms, item, value)
 
     env.process(query_source(env), name="cluster-query-source")
     env.process(update_source(env), name="cluster-update-source")

@@ -44,7 +44,7 @@ def _checksum(lsn: int, applied_at: float, item: str, seq: int,
     return zlib.crc32(payload.encode("utf-8"))
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, slots=True)
 class WalRecord:
     """One applied update, as written to the log."""
 
@@ -69,7 +69,7 @@ class WalRecord:
             self.exec_ms)
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, slots=True)
 class Checkpoint:
     """A crash-consistent snapshot fencing the log at ``last_lsn``."""
 

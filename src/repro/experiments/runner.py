@@ -24,7 +24,8 @@ from repro.sim.process import ProcessGenerator
 from repro.sim.rng import RandomStream, StreamRegistry
 from repro.sim.sanitizer import Sanitizer
 from repro.telemetry.hooks import KernelProbe, TelemetryKnob
-from repro.workload.traces import Trace
+from repro.workload.traces import (QueryRecord, Trace, UpdateRecord,
+                                   replay_rows)
 
 #: Anything with ``sample(rng, now) -> QualityContract`` can price queries.
 class QCSource(typing.Protocol):
@@ -133,21 +134,21 @@ def _query_source(env: Environment, server: DatabaseServer, trace: Trace,
                   qc_source: QCSource,
                   qc_rng: RandomStream) -> ProcessGenerator:
     """Replays the trace's queries, pricing each with a fresh contract."""
-    for record in trace.queries:
-        delay = record.arrival_ms - env.now
+    for arrival_ms, items, exec_ms in replay_rows(QueryRecord,
+                                                  trace.queries):
+        delay = arrival_ms - env.now
         if delay > 0:
             yield env.timeout(delay)
         contract = qc_source.sample(qc_rng, env.now)
-        server.submit_query(Query(env.now, record.exec_ms, record.items,
-                                  contract))
+        server.submit_query(Query(env.now, exec_ms, items, contract))
 
 
 def _update_source(env: Environment, server: DatabaseServer,
                    trace: Trace) -> ProcessGenerator:
     """Replays the trace's updates."""
-    for record in trace.updates:
-        delay = record.arrival_ms - env.now
+    for arrival_ms, item, exec_ms, value in replay_rows(UpdateRecord,
+                                                        trace.updates):
+        delay = arrival_ms - env.now
         if delay > 0:
             yield env.timeout(delay)
-        server.submit_update(Update(env.now, record.exec_ms, record.item,
-                                    value=record.value))
+        server.submit_update(Update(env.now, exec_ms, item, value=value))

@@ -46,7 +46,7 @@ from repro.sim.rng import StreamRegistry
 from repro.telemetry.hooks import KernelProbe, TelemetryKnob
 from repro.workload.sharding import split_update_streams
 from repro.workload.synthetic import StockWorkloadGenerator, WorkloadSpec
-from repro.workload.traces import Trace
+from repro.workload.traces import QueryRecord, Trace, replay_rows
 
 from .config import ExperimentConfig
 from .runner import QCSource
@@ -123,15 +123,6 @@ class ShardedResult:
                 f"rebalances={self.rebalances}>")
 
 
-def _check_monotonic(kind: str, arrival_ms: float, previous: float,
-                     index: int) -> None:
-    if arrival_ms < previous:
-        raise ValueError(
-            f"malformed trace: {kind} #{index} arrives at "
-            f"{arrival_ms:.3f} ms, before the previous {kind} at "
-            f"{previous:.3f} ms — arrival times must be non-decreasing")
-
-
 def run_sharded_simulation(n_shards: int,
                            scheduler_factory: typing.Callable[[], Scheduler],
                            trace: Trace,
@@ -187,27 +178,20 @@ def run_sharded_simulation(n_shards: int,
     update_streams = split_update_streams(trace, portal.ring)
 
     def query_source(env: Environment) -> ProcessGenerator:
-        previous = 0.0
-        for i, record in enumerate(trace.queries):
-            _check_monotonic("query", record.arrival_ms, previous, i)
-            previous = record.arrival_ms
-            delay = record.arrival_ms - env.now
+        for arrival_ms, items, exec_ms in replay_rows(QueryRecord,
+                                                      trace.queries):
+            delay = arrival_ms - env.now
             if delay > 0:
                 yield env.timeout(delay)
             contract: QualityContract = qc_source.sample(qc_rng, env.now)
-            portal.submit_query(Query(env.now, record.exec_ms,
-                                      record.items, contract))
+            portal.submit_query(Query(env.now, exec_ms, items, contract))
 
     def update_source(env: Environment, shard: int) -> ProcessGenerator:
-        previous = 0.0
-        for i, record in enumerate(update_streams[shard]):
-            _check_monotonic("update", record.arrival_ms, previous, i)
-            previous = record.arrival_ms
-            delay = record.arrival_ms - env.now
+        for arrival_ms, item, exec_ms, value in update_streams[shard]:
+            delay = arrival_ms - env.now
             if delay > 0:
                 yield env.timeout(delay)
-            portal.route_update(env.now, record.exec_ms, record.item,
-                                record.value)
+            portal.route_update(env.now, exec_ms, item, value)
 
     env.process(query_source(env), name="shard-query-source")
     for shard in range(n_shards):

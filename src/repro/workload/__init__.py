@@ -7,7 +7,8 @@ from .stocks import PriceWalk, StockUniverse, ticker_symbol
 from .synthetic import (PAPER_DURATION_MS, PAPER_N_QUERIES, PAPER_N_STOCKS,
                         PAPER_N_UPDATES, StockWorkloadGenerator, WorkloadSpec,
                         paper_trace)
-from .traces import QueryRecord, Trace, UpdateRecord
+from .traces import (QueryRecord, RecordColumns, Trace, UpdateRecord,
+                     replay_rows)
 
 __all__ = [
     "PAPER_DURATION_MS",
@@ -18,6 +19,7 @@ __all__ = [
     "PriceWalk",
     "QueryRecord",
     "RateSeries",
+    "RecordColumns",
     "StockUniverse",
     "StockWorkloadGenerator",
     "Trace",
@@ -27,6 +29,7 @@ __all__ = [
     "paper_trace",
     "per_stock_counts",
     "query_rate_series",
+    "replay_rows",
     "summarize",
     "ticker_symbol",
     "update_rate_series",

@@ -21,24 +21,21 @@ from __future__ import annotations
 
 import typing
 
-from repro.workload.traces import Trace, UpdateRecord
+from repro.workload.traces import RecordColumns, Row, Trace, UpdateRecord
 
 if typing.TYPE_CHECKING:  # pragma: no cover
     from repro.shard.ring import HashRing
 
 
 def split_update_streams(trace: Trace,
-                         ring: "HashRing") -> list[list[UpdateRecord]]:
+                         ring: "HashRing") -> list[typing.Iterator[Row]]:
     """Partition ``trace.updates`` by initial ring owner.
 
-    Returns one time-ordered list per shard (``trace.updates`` is
+    Returns one time-ordered, single-use stream of update rows
+    ``(arrival_ms, item, exec_ms, value)`` per shard (``trace.updates`` is
     already sorted by arrival, and a stable partition preserves that).
-    Every record lands in exactly one stream, so the union is the
-    original update load — the conservation the sharded determinism
-    test asserts.
+    Every row lands in exactly one stream, so the union is the original
+    update load — the conservation the sharded determinism test asserts.
     """
-    streams: list[list[UpdateRecord]] = [
-        [] for _ in range(ring.n_shards)]
-    for record in trace.updates:
-        streams[ring.owner(record.item)].append(record)
-    return streams
+    updates = RecordColumns.of(UpdateRecord, trace.updates)
+    return updates.partition("item", ring.owner, ring.n_shards)

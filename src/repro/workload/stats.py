@@ -43,13 +43,13 @@ class RateSeries:
 
 def query_rate_series(trace: Trace) -> RateSeries:
     """Figure 5(a): number of queries per second."""
-    return _rate_series((q.arrival_ms for q in trace.queries),
+    return _rate_series((row[0] for row in trace.queries.rows()),
                         trace.duration_ms)
 
 
 def update_rate_series(trace: Trace) -> RateSeries:
     """Figure 5(b): number of updates per second."""
-    return _rate_series((u.arrival_ms for u in trace.updates),
+    return _rate_series((row[0] for row in trace.updates.rows()),
                         trace.duration_ms)
 
 
@@ -91,11 +91,11 @@ class PerStockCounts:
 def per_stock_counts(trace: Trace) -> PerStockCounts:
     queries: dict[str, int] = {}
     updates: dict[str, int] = {}
-    for query in trace.queries:
-        for item in query.items:
+    for __, items, __ in trace.queries.rows():
+        for item in items:
             queries[item] = queries.get(item, 0) + 1
-    for update in trace.updates:
-        updates[update.item] = updates.get(update.item, 0) + 1
+    for __, item, __, __ in trace.updates.rows():
+        updates[item] = updates.get(item, 0) + 1
     return PerStockCounts(queries, updates)
 
 
@@ -129,8 +129,8 @@ class WorkloadSummary:
 
 def summarize(trace: Trace) -> WorkloadSummary:
     """Compute the Table 3 summary for ``trace``."""
-    q_exec = [q.exec_ms for q in trace.queries]
-    u_exec = [u.exec_ms for u in trace.updates]
+    q_exec = [exec_ms for __, __, exec_ms in trace.queries.rows()]
+    u_exec = [exec_ms for __, __, exec_ms, __ in trace.updates.rows()]
     return WorkloadSummary(
         n_queries=len(trace.queries),
         n_updates=len(trace.updates),

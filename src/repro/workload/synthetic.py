@@ -35,14 +35,18 @@ updates on time ... and also get fast response times".
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
 import math
+import operator
 import typing
+from array import array
 
 from repro.sim.rng import RandomStream, StreamRegistry
 
 from .stocks import PriceWalk, StockUniverse
-from .traces import QueryRecord, Trace, UpdateRecord
+from .traces import (Column, QueryRecord, RecordColumns, Row, Trace,
+                     UpdateRecord)
 
 #: Published workload constants (Table 3).
 PAPER_DURATION_MS = 30 * 60 * 1000.0
@@ -253,12 +257,14 @@ class StockWorkloadGenerator:
         return self.spec.base_query_rate_at(t_ms) * factor
 
     def _generate_queries(self, universe: StockUniverse,
-                          streams: StreamRegistry) -> list[QueryRecord]:
+                          streams: StreamRegistry
+                          ) -> RecordColumns[QueryRecord]:
         spec = self.spec
         rate_rng = streams.stream("query.arrivals")
         pick_rng = streams.stream("query.stocks")
         exec_rng = streams.stream("query.exec")
-        records: list[QueryRecord] = []
+        columns: tuple[Column, ...] = (array("d"), [], array("d"))
+        pending: list[Row] = []
         for second_start in _seconds(spec.duration_ms):
             rate = self.query_rate_at(second_start)
             window = min(1000.0, spec.duration_ms - second_start)
@@ -269,17 +275,22 @@ class StockWorkloadGenerator:
                 items = _distinct_stocks(pick_rng, universe, n_items,
                                          spec.query_zipf_theta)
                 exec_ms = exec_rng.uniform(*spec.query_exec_range_ms)
-                records.append(QueryRecord(arrival, items, exec_ms))
-        return records
+                pending.append((arrival, items, exec_ms))
+            _flush(pending, columns, second_start + 1000.0)
+        _flush(pending, columns, math.inf)
+        return RecordColumns(QueryRecord, *columns)
 
     def _generate_updates(self, universe: StockUniverse,
-                          streams: StreamRegistry) -> list[UpdateRecord]:
+                          streams: StreamRegistry
+                          ) -> RecordColumns[UpdateRecord]:
         spec = self.spec
         rate_rng = streams.stream("update.arrivals")
         pick_rng = streams.stream("update.stocks")
         exec_rng = streams.stream("update.exec")
         walk = PriceWalk(universe, streams.stream("update.prices"))
-        records: list[UpdateRecord] = []
+        columns: tuple[Column, ...] = (array("d"), [], array("d"),
+                                       array("d"))
+        pending: list[Row] = []
         # Bursts (trade clusters) arrive as a Poisson process at the trade
         # rate divided by the mean burst size; each burst's trades hit the
         # same stock within a short window.
@@ -301,10 +312,11 @@ class StockWorkloadGenerator:
                     arrival = min(burst_start + offset,
                                   spec.duration_ms)
                     exec_ms = spec.sample_update_exec(exec_rng)
-                    records.append(UpdateRecord(
-                        arrival, symbol, exec_ms,
-                        value=walk.next_price(symbol)))
-        return records
+                    pending.append((arrival, symbol, exec_ms,
+                                    walk.next_price(symbol)))
+            _flush(pending, columns, second_start + 1000.0)
+        _flush(pending, columns, math.inf)
+        return RecordColumns(UpdateRecord, *columns)
 
 
 def paper_trace(master_seed: int = 0,
@@ -317,6 +329,28 @@ def paper_trace(master_seed: int = 0,
 # ----------------------------------------------------------------------
 # Sampling helpers
 # ----------------------------------------------------------------------
+_ARRIVAL = operator.itemgetter(0)
+
+
+def _flush(pending: list[Row], columns: tuple[Column, ...],
+           before_ms: float) -> None:
+    """Move the rows of ``pending`` arriving before ``before_ms`` onto
+    ``columns``, in arrival order.
+
+    A row generated in a later second never arrives before that second
+    starts (bursts spread forwards only), so flushing up to the next
+    second's start after each second emits exactly the whole trace's
+    stable sort by arrival: ties keep generation order because leftovers
+    precede new rows in ``pending`` and the sort is stable.
+    """
+    pending.sort(key=_ARRIVAL)
+    ready = bisect.bisect_left(pending, before_ms, key=_ARRIVAL)
+    if ready:
+        for column, cells in zip(columns, zip(*pending[:ready])):
+            column.extend(cells)
+        del pending[:ready]
+
+
 def _seconds(duration_ms: float) -> typing.Iterator[float]:
     t = 0.0
     while t < duration_ms:

@@ -13,6 +13,7 @@ from repro.cluster import (HedgedRouter, NoHealthyReplica, QCAwareRouter,
 from repro.db.admission import OverloadShedding
 from repro.db.server import ServerConfig
 from repro.db.transactions import Query, TxnStatus
+from repro.experiments import run_sharded_simulation, run_simulation
 from repro.faults import (CRASH, RECOVER, SPIKE_START, FaultEvent,
                           FaultInjector, FaultPlan)
 from repro.qc.contracts import QualityContract
@@ -137,6 +138,7 @@ class _RawTrace:
         self.updates = updates
         self.duration_ms = duration_ms
         self.name = "raw"
+        self.stocks = frozenset({"A"})
 
 
 def small_trace(seed=11, duration=15_000.0):
@@ -390,6 +392,36 @@ class TestRunnerUnderFaults:
         with pytest.raises(ValueError, match="non-decreasing"):
             run_cluster_simulation(1, QUTSScheduler, trace,
                                    QCFactory.balanced(), master_seed=1)
+
+    # Every replay entry point takes its rows from the same iterator, so
+    # the single-server and sharded runners reject the same stand-ins.
+    @pytest.mark.parametrize("queries, updates", [
+        ([QueryRecord(100.0, ("A",), 5.0), QueryRecord(50.0, ("A",), 5.0)],
+         []),
+        ([], [UpdateRecord(100.0, "A", 2.0, value=1.0),
+              UpdateRecord(99.0, "A", 2.0, value=2.0)]),
+    ], ids=["query", "update"])
+    def test_non_monotonic_trace_rejected_by_every_runner(self, queries,
+                                                          updates):
+        trace = _RawTrace(queries, updates, duration_ms=200.0)
+        with pytest.raises(ValueError, match="non-decreasing"):
+            run_simulation(QUTSScheduler(), trace, QCFactory.balanced(),
+                           master_seed=1)
+        with pytest.raises(ValueError, match="non-decreasing"):
+            run_sharded_simulation(2, QUTSScheduler, trace,
+                                   QCFactory.balanced(), master_seed=1)
+
+    def test_sorted_stand_in_replays_like_the_trace_it_copies(self):
+        # The checked path yields the same rows as the column path.
+        trace = small_trace(duration=5_000.0)
+        raw = _RawTrace(list(trace.queries), list(trace.updates),
+                        trace.duration_ms)
+        a = run_simulation(QUTSScheduler(), trace, QCFactory.balanced(),
+                           master_seed=1)
+        b = run_simulation(QUTSScheduler(), raw, QCFactory.balanced(),
+                           master_seed=1)
+        assert a.total_percent == b.total_percent
+        assert a.counters == b.counters
 
 
 # ----------------------------------------------------------------------
