@@ -1003,7 +1003,8 @@ class ReplicatedPortal:
     @property
     def total_percent(self) -> float:
         total_max = self.total_max
-        return self.total_gained / total_max if total_max else 0.0
+        # Summed in different orders: earning everything can overshoot an ulp.
+        return min(1.0, self.total_gained / total_max) if total_max else 0.0
 
     @property
     def qos_percent(self) -> float:

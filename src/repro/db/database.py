@@ -13,6 +13,7 @@ measured against the per-item sequence counters maintained here.
 
 from __future__ import annotations
 
+import operator
 import statistics
 import typing
 
@@ -27,6 +28,8 @@ StalenessAggregation = typing.Literal["max", "mean", "sum"]
 
 #: The full per-item state captured by snapshots (every DataItem slot).
 _ITEM_FIELDS: tuple[str, ...] = DataItem.__slots__
+#: ``item -> tuple of every field``, one C call per item.
+_item_state = operator.attrgetter(*_ITEM_FIELDS)
 
 
 class Database:
@@ -145,19 +148,13 @@ class Database:
         is *not* part of the snapshot: pending updates are volatile queue
         state, re-synced from the durable source after a crash.
         """
-        return {key: tuple(getattr(item, field) for field in _ITEM_FIELDS)
-                for key, item in self._items.items()}
+        return {key: _item_state(item) for key, item in self._items.items()}
 
     def restore(self, snapshot: dict[str, tuple]) -> None:
         """Replace the store's contents with ``snapshot`` (checkpoint
         restore); anything not in the snapshot is forgotten."""
-        self._items = {}
-        self._register = {}
-        for key, state in snapshot.items():
-            item = DataItem(key)
-            for field, value in zip(_ITEM_FIELDS, state):
-                setattr(item, field, value)
-            self._items[key] = item
+        self.clear()
+        self.import_items(snapshot)
 
     def clear(self) -> None:
         """Fail-stop wipe: a main-memory store dies with its server."""
@@ -172,13 +169,8 @@ class Database:
         omitted (the destination creates them lazily, exactly as this
         store would have).
         """
-        out: dict[str, tuple] = {}
-        for key in keys:
-            item = self._items.get(key)
-            if item is not None:
-                out[key] = tuple(getattr(item, field)
-                                 for field in _ITEM_FIELDS)
-        return out
+        items = self._items
+        return {key: _item_state(items[key]) for key in keys if key in items}
 
     def import_items(self, snapshot: dict[str, tuple]) -> None:
         """Install a partial snapshot, overwriting any existing items.

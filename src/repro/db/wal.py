@@ -11,7 +11,9 @@ value it pushed.  This module gives each replica a durable trail:
 * a :class:`Checkpoint` is a crash-consistent snapshot: the full
   :class:`~repro.db.database.Database` item state plus a digest of the
   scheduler queues at the checkpoint instant, fenced by the last durable
-  LSN it covers.
+  LSN it covers.  Taking one **truncates the log at the fence**: it holds
+  the last checkpoint plus the records after it, so size and recovery
+  cost are bounded by one checkpoint interval (LSNs never restart).
 
 On a fail-stop crash the unflushed tail of the log is lost — those
 records are the incident's **RPO**, measured in the paper's own QoD unit
@@ -28,6 +30,7 @@ survives :meth:`WriteAheadLog.crash` while the database object does not.
 from __future__ import annotations
 
 import dataclasses
+import struct
 import typing
 import zlib
 
@@ -37,15 +40,19 @@ if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .database import Database
     from .transactions import Update
 
+#: A record's CRC-32 covers its packed numeric fields (``lsn, applied_at,
+#: seq, value, exec_ms``), then the item key's UTF-8 bytes.
+_PACK_NUMERIC = struct.Struct("<qdqdd").pack
+
 
 def _checksum(lsn: int, applied_at: float, item: str, seq: int,
               value: float, exec_ms: float) -> int:
-    payload = f"{lsn}|{applied_at!r}|{item}|{seq}|{value!r}|{exec_ms!r}"
-    return zlib.crc32(payload.encode("utf-8"))
+    return zlib.crc32(
+        item.encode("utf-8"),
+        zlib.crc32(_PACK_NUMERIC(lsn, applied_at, seq, value, exec_ms)))
 
 
-@dataclasses.dataclass(frozen=True, slots=True)
-class WalRecord:
+class WalRecord(typing.NamedTuple):
     """One applied update, as written to the log."""
 
     lsn: int
@@ -108,25 +115,26 @@ class DurabilityConfig:
 
 
 class WriteAheadLog:
-    """The durable trail of one replica: log records + checkpoints."""
+    """One replica's durable trail: a checkpoint + the log after it."""
 
     def __init__(self, flush_every: int = 1) -> None:
         if flush_every < 1:
             raise ValueError(f"flush_every must be >= 1, got {flush_every}")
         self.flush_every = flush_every
-        #: Durable records, in LSN order.
+        #: Durable records past the checkpoint fence, in LSN order.
         self._durable: list[WalRecord] = []
         #: Appended but not yet flushed (lost on crash).
         self._buffer: list[WalRecord] = []
-        self._checkpoints: list[Checkpoint] = []
+        self._checkpoint: Checkpoint | None = None
         self._next_lsn = 1
+        self._durable_lsn = 0
         self.flushes = 0
         self.records_lost = 0
 
     def __repr__(self) -> str:
-        return (f"<WriteAheadLog durable={len(self._durable)} "
-                f"buffered={len(self._buffer)} "
-                f"checkpoints={len(self._checkpoints)}>")
+        return (f"<WriteAheadLog durable_lsn={self._durable_lsn} "
+                f"tail={len(self._durable)} "
+                f"buffered={len(self._buffer)}>")
 
     # ------------------------------------------------------------------
     # The write path
@@ -145,6 +153,7 @@ class WriteAheadLog:
     def flush(self) -> None:
         """Make every buffered record durable."""
         if self._buffer:
+            self._durable_lsn = self._buffer[-1].lsn
             self._durable.extend(self._buffer)
             self._buffer.clear()
             self.flushes += 1
@@ -152,12 +161,14 @@ class WriteAheadLog:
     def take_checkpoint(self, database: "Database",
                         queue_digest: dict[str, int],
                         now: float) -> Checkpoint:
-        """Flush, snapshot the database, and fence the log."""
+        """Flush, snapshot the database, and truncate at the fence: the
+        durable records it covers and the previous checkpoint are dropped."""
         self.flush()
-        checkpoint = Checkpoint(taken_at=now, last_lsn=self.durable_lsn,
+        checkpoint = Checkpoint(taken_at=now, last_lsn=self._durable_lsn,
                                 items=database.snapshot(),
                                 queue_digest=dict(queue_digest))
-        self._checkpoints.append(checkpoint)
+        self._checkpoint = checkpoint
+        self._durable = []
         return checkpoint
 
     # ------------------------------------------------------------------
@@ -178,15 +189,13 @@ class WriteAheadLog:
         :class:`InvariantViolation` (with the damaged record) rather
         than silently installing wrong values.
         """
-        checkpoint = self._checkpoints[-1] if self._checkpoints else None
-        fence = checkpoint.last_lsn if checkpoint is not None else 0
-        tail = [r for r in self._durable if r.lsn > fence]
-        for record in tail:
-            if not record.verify():
-                raise InvariantViolation(
-                    f"corrupted WAL record at lsn={record.lsn} "
-                    f"(item={record.item!r}, seq={record.seq}): checksum "
-                    f"mismatch — refusing to replay a damaged log")
+        checkpoint, tail, refused = self.recover_verified()
+        if refused:
+            record = refused[0]
+            raise InvariantViolation(
+                f"corrupted WAL record at lsn={record.lsn} "
+                f"(item={record.item!r}, seq={record.seq}): checksum "
+                f"mismatch — refusing to replay a damaged log")
         return checkpoint, tail
 
     def recover_verified(self) -> tuple[
@@ -201,21 +210,18 @@ class WriteAheadLog:
         consistent history.  The caller re-syncs the refused items from
         a healthy peer or the durable external source.
         """
-        checkpoint = self._checkpoints[-1] if self._checkpoints else None
-        fence = checkpoint.last_lsn if checkpoint is not None else 0
-        tail = [r for r in self._durable if r.lsn > fence]
-        for position, record in enumerate(tail):
-            if not record.verify():
-                return checkpoint, tail[:position], tail[position:]
-        return checkpoint, tail, []
+        tail = self._durable
+        good = next((position for position, record in enumerate(tail)
+                     if not record.verify()), len(tail))
+        return self._checkpoint, tail[:good], tail[good:]
 
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
     @property
     def durable_lsn(self) -> int:
-        """LSN of the newest durable record (0 when the log is empty)."""
-        return self._durable[-1].lsn if self._durable else 0
+        """LSN of the newest durable record (0 before the first flush)."""
+        return self._durable_lsn
 
     @property
     def last_lsn(self) -> int:
@@ -224,11 +230,13 @@ class WriteAheadLog:
 
     @property
     def durable_records(self) -> tuple[WalRecord, ...]:
+        """The live durable tail: the records past the checkpoint fence."""
         return tuple(self._durable)
 
     @property
     def checkpoints(self) -> tuple[Checkpoint, ...]:
-        return tuple(self._checkpoints)
+        """The live checkpoints: the last one taken, or none."""
+        return () if self._checkpoint is None else (self._checkpoint,)
 
     @property
     def unflushed(self) -> int:
@@ -238,24 +246,22 @@ class WriteAheadLog:
     # detects it (checksums survive, fields do not match them).
     def corrupt_tail_record(self, delta: float = 1.0) -> None:
         """Flip the newest durable record's value without re-checksumming."""
-        if not self._durable:
+        if not self.corrupt_tail(1, delta):
             raise ValueError("no durable records to corrupt")
-        record = self._durable[-1]
-        self._durable[-1] = dataclasses.replace(record,
-                                                value=record.value + delta)
 
     def corrupt_tail(self, count: int = 1, delta: float = 1.0) -> int:
         """Silently damage the newest ``count`` durable records (the
         ``corrupt_wal`` fault kind).  Values are perturbed without
         re-checksumming, so :meth:`recover`'s CRC scan catches them.
-        Returns how many records were actually damaged (0 when the
-        durable log is still empty — corruption of nothing is a no-op,
-        not an error, because fault schedules are sampled blindly)."""
+        Returns how many records were actually damaged — only those past
+        the fence exist, so each is one recovery will read (0 when the
+        tail is empty — corruption of nothing is a no-op, not an error,
+        because fault schedules are sampled blindly)."""
         if count < 1:
             raise ValueError(f"count must be >= 1, got {count}")
         damaged = min(count, len(self._durable))
         for offset in range(1, damaged + 1):
             record = self._durable[-offset]
-            self._durable[-offset] = dataclasses.replace(
-                record, value=record.value + delta)
+            self._durable[-offset] = record._replace(
+                value=record.value + delta)
         return damaged

@@ -11,7 +11,7 @@ must degrade — never misbehave:
 """
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import HedgedRouter, run_cluster_simulation
@@ -88,6 +88,13 @@ def fault_plans(draw):
 class TestFaultScheduleInvariants:
     @given(plan=fault_plans(),
            policy=st.sampled_from(("FIFO", "QUTS")))
+    # Every query earns its whole contract: gained == maximum profit up
+    # to summation order, and the ratio must still not exceed 1.0.
+    @example(plan=FaultPlan([FaultEvent(9.0, STALL_UPDATES),
+                             FaultEvent(3327.0, CRASH, replica=0),
+                             FaultEvent(3377.0, RECOVER, replica=0),
+                             FaultEvent(8000.0, RESUME_UPDATES)]),
+             policy="FIFO")
     @settings(max_examples=12, deadline=None)
     def test_degrades_never_misbehaves(self, plan, policy):
         router = _VerifyingRouter()
