@@ -8,7 +8,8 @@ same :class:`~repro.metrics.profit.ProfitLedger` accounting (timestamps
 are gateway-clock milliseconds).  A single asyncio executor task owns
 the CPU: it pops the scheduler's choice, "runs" it by sleeping its
 service time in bounded slices (cooperative quanta, exactly the DES
-executor's slicing discipline), and commits with the same
+executor's slicing discipline) laid end to end on the modelled CPU's
+own timeline (:meth:`QCGateway._run`), and commits with the same
 QC-evaluation semantics (`qc.evaluate(rt, staleness)`, brownout
 forfeits QoD).  Because only that one task touches the database, the
 2PL lock manager is unnecessary on the live path — serialisation is
@@ -130,6 +131,20 @@ class GatewayConfig:
                 f"cpu_speed must be positive, got {self.cpu_speed}")
 
 
+@dataclasses.dataclass
+class CpuAccount:
+    """Did the host keep up with the modelled CPU?  ``lag``: how far
+    real time trailed it at slice starts.  ``charged_ms / busy_wall_ms``:
+    its observed speed (1.0 = rated) over slices entered straight from
+    the one before — service charged vs real time between wake-ups."""
+
+    slices: int = 0
+    lag_sum_ms: float = 0.0
+    lag_max_ms: float = 0.0
+    charged_ms: float = 0.0
+    busy_wall_ms: float = 0.0
+
+
 class QCGateway:
     """A live asyncio database server around one scheduling core."""
 
@@ -137,7 +152,8 @@ class QCGateway:
                  config: GatewayConfig | None = None,
                  admission: AdmissionPolicy | None = None,
                  master_seed: int = 0,
-                 telemetry: "TelemetrySession | None" = None) -> None:
+                 telemetry: "TelemetrySession | None" = None,
+                 clock: MonotonicClock | None = None) -> None:
         self.config = config if config is not None else GatewayConfig()
         #: The decision core — the same instance type the DES drives.
         self.scheduler = scheduler
@@ -146,9 +162,14 @@ class QCGateway:
             staleness_aggregation=self.config.staleness_aggregation)
         self.ledger = ProfitLedger()
         self.streams = StreamRegistry(master_seed)
-        self.clock = MonotonicClock()
+        self.clock = clock if clock is not None else MonotonicClock()
+        self.clock.call_periodic(self.config.sweep_interval_ms, self._sweep,
+                                 name="gw-sweeper")
         self.telemetry = telemetry
         self._probe: "ServerProbe | None" = None
+        #: When the CPU's last slice nominally ended / really woke (ms).
+        self._cpu_free_at = self._cpu_woke_at = 0.0
+        self.cpu = CpuAccount()
 
         self._running = False
         self._tasks: list[asyncio.Task[None]] = []
@@ -175,9 +196,8 @@ class QCGateway:
                 self.telemetry.scheduler_probe("gateway"))
         self.scheduler.bind_clock(self.clock, self.streams)
         self.clock.start()
-        loop = asyncio.get_running_loop()
-        self._tasks = [loop.create_task(self._executor(), name="gw-executor"),
-                       loop.create_task(self._sweeper(), name="gw-sweeper")]
+        self._tasks = [asyncio.get_running_loop().create_task(
+            self._executor(), name="gw-executor")]
 
     async def stop(self) -> None:
         """Stop serving; unresolved submissions resolve ``unfinished``."""
@@ -212,7 +232,7 @@ class QCGateway:
         while self._waiters:
             if self.clock.now >= deadline:
                 return False
-            await asyncio.sleep(0.005)
+            await self.clock.sleep_until(self.clock.now + 5.0)
         return True
 
     @property
@@ -323,7 +343,7 @@ class QCGateway:
                 if not scheduler.has_work():
                     await self._work.wait()
                 else:  # pragma: no cover - scheduler declined to pick
-                    await asyncio.sleep(0)
+                    await clock.sleep_until(clock.now)
                 continue
             if not txn.alive:
                 continue  # lazily-deleted entry (e.g. superseded update)
@@ -353,10 +373,23 @@ class QCGateway:
         """Run ``txn`` in cooperative slices until commit, preemption, a
         zero quantum, or mid-run supersession.
 
-        Each slice charges the *requested* duration against
-        ``txn.remaining`` — if the event loop lags, the work still took
-        its nominal service time and the lag shows up (honestly) in the
-        response time, exactly like a busy real server.
+        Slices are paced on the modelled CPU's own timeline, not from
+        "now": each starts where the previous one *nominally* ended and
+        the task sleeps to its absolute end.  Three properties:
+
+        * no work before arrival and no idle credit — ``max(..,
+          arrival_time)`` restarts the timeline after an idle gap;
+        * never ahead of real time — ``start <= now``, so nothing
+          commits before ``arrival + exec``;
+        * overshoot does not accumulate — a late wake-up is repaid by
+          the next slice's shorter sleep, so a transaction finishes at
+          its ideal single-server (Lindley) completion plus *at most
+          one* timer overshoot: the CPU runs at its rated speed.
+
+        ``finish_time`` stays on the real clock (no reply is reported
+        faster than it was); the debt is uncapped (a host stall stalls
+        the process, not the modelled CPU) and ``sleep_until`` always
+        yields, so repaying it cannot starve I/O.
         """
         scheduler, clock, config = self.scheduler, self.clock, self.config
         txn.status = TxnStatus.RUNNING
@@ -374,12 +407,22 @@ class QCGateway:
                     scheduler.requeue(txn)
                     return
                 slice_ms = min(txn.remaining, quantum, config.slice_ms)
-                slice_start = now
-                await asyncio.sleep(slice_ms / 1000.0)
+                free_at, cpu = self._cpu_free_at, self.cpu
+                start = min(now, max(free_at, txn.arrival_time))
+                end = self._cpu_free_at = start + slice_ms
+                await clock.sleep_until(end)
+                woke = clock.now
+                cpu.slices += 1
+                cpu.lag_sum_ms += now - start
+                cpu.lag_max_ms = max(cpu.lag_max_ms, now - start)
+                if start <= free_at:  # straight from the previous slice
+                    cpu.charged_ms += slice_ms
+                    cpu.busy_wall_ms += woke - self._cpu_woke_at
+                self._cpu_woke_at = woke
                 if not txn.alive:
                     return  # superseded mid-run; already resolved
                 if self._probe is not None:
-                    self._probe.cpu_slice(slice_start, clock.now, txn)
+                    self._probe.cpu_slice(start, end, txn)
                 txn.remaining -= slice_ms
                 if txn.remaining <= 1e-9:
                     self._commit(txn)
@@ -432,10 +475,11 @@ class QCGateway:
             self._probe.commit(now, txn)
 
     # ------------------------------------------------------------------
-    # The deadline sweeper task
+    # The deadline sweep
     # ------------------------------------------------------------------
-    async def _sweeper(self) -> None:
-        """Periodically cancel waiting queries that are past deadline.
+    def _sweep(self, now: float) -> None:
+        """Cancel waiting queries that are past deadline (a clock
+        periodic, every ``sweep_interval_ms``).
 
         The pop-time check alone is enough for correctness, but under a
         long backlog an expired query would sit queued (and hold its
@@ -444,20 +488,16 @@ class QCGateway:
         status flip to ``DROPPED_LIFETIME`` is what evicts it from the
         lazy-deletion heap.
         """
-        interval_s = self.config.sweep_interval_ms / 1000.0
-        while self._running:
-            await asyncio.sleep(interval_s)
-            if not self.config.drop_expired:
-                continue
-            now = self.clock.now
-            expired = [typing.cast(Query, txn)
-                       for txn, _ in self._waiters.values()
-                       if txn.is_query
-                       and txn.status is TxnStatus.QUEUED
-                       and now >= self._deadlines.get(
-                           txn.txn_id, float("inf"))]
-            for query in expired:
-                self._drop_expired(query, now)
+        if not self.config.drop_expired:
+            return
+        expired = [typing.cast(Query, txn)
+                   for txn, _ in self._waiters.values()
+                   if txn.is_query
+                   and txn.status is TxnStatus.QUEUED
+                   and now >= self._deadlines.get(
+                       txn.txn_id, float("inf"))]
+        for query in expired:
+            self._drop_expired(query, now)
 
     # ------------------------------------------------------------------
     def _resolve(self, txn_id: int, reply: GatewayReply) -> None:

@@ -13,6 +13,7 @@ import hashlib
 import math
 import random
 import typing
+from bisect import bisect_left
 
 
 def _derive_seed(master_seed: int, name: str) -> int:
@@ -41,18 +42,24 @@ class RandomStream(random.Random):
             raise ValueError(f"mean must be positive, got {mean}")
         return self.expovariate(1.0 / mean)
 
-    def zipf_rank(self, n: int, theta: float) -> int:
-        """Draw a 1-based rank from a Zipf(θ) distribution over ``n`` items.
+    def zipf_sampler(self, n: int,
+                     theta: float) -> typing.Callable[[], int]:
+        """A zero-argument draw of a 1-based rank from a Zipf(θ)
+        distribution over ``n`` items, for sampling loops.
 
-        Uses the rejection-inversion-free cumulative method with a cached
-        normaliser; adequate for the item-count scales used here.
+        Inverse CDF on the (cached) cumulative harmonic weights, looked
+        up once: each call takes one uniform from this stream and
+        returns the leftmost rank whose cumulative weight reaches it
+        (``cdf[-1] == 1.0 > u``, so the rank never exceeds ``n``).
         """
         if n <= 0:
             raise ValueError("n must be positive")
-        # Inverse-CDF on the (cached) harmonic weights.
-        cdf = _zipf_cdf(n, theta)
-        u = self.random()
-        return _bisect_cdf(cdf, u) + 1
+        cdf, uniform = _zipf_cdf(n, theta), self.random
+        return lambda: bisect_left(cdf, uniform()) + 1
+
+    def zipf_rank(self, n: int, theta: float) -> int:
+        """One :meth:`zipf_sampler` draw."""
+        return self.zipf_sampler(n, theta)()
 
     def bounded_pareto(self, alpha: float, low: float, high: float) -> float:
         """Bounded Pareto variate in ``[low, high]`` with shape ``alpha``."""
@@ -80,17 +87,6 @@ def _zipf_cdf(n: int, theta: float) -> list[float]:
     cdf[-1] = 1.0
     _ZIPF_CACHE[key] = cdf
     return cdf
-
-
-def _bisect_cdf(cdf: list[float], u: float) -> int:
-    lo, hi = 0, len(cdf) - 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if cdf[mid] < u:
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo
 
 
 _ZIPF_CACHE: dict[tuple[int, float], list[float]] = {}

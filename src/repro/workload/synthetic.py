@@ -262,6 +262,7 @@ class StockWorkloadGenerator:
         spec = self.spec
         rate_rng = streams.stream("query.arrivals")
         pick_rng = streams.stream("query.stocks")
+        rank = pick_rng.zipf_sampler(universe.n_stocks, spec.query_zipf_theta)
         exec_rng = streams.stream("query.exec")
         columns: tuple[Column, ...] = (array("d"), [], array("d"))
         pending: list[Row] = []
@@ -272,8 +273,7 @@ class StockWorkloadGenerator:
             for __ in range(count):
                 arrival = second_start + rate_rng.random() * window
                 n_items = _draw_pmf(pick_rng, spec.read_set_pmf) + 1
-                items = _distinct_stocks(pick_rng, universe, n_items,
-                                         spec.query_zipf_theta)
+                items = _distinct_stocks(rank, universe, n_items)
                 exec_ms = exec_rng.uniform(*spec.query_exec_range_ms)
                 pending.append((arrival, items, exec_ms))
             _flush(pending, columns, second_start + 1000.0)
@@ -285,7 +285,8 @@ class StockWorkloadGenerator:
                           ) -> RecordColumns[UpdateRecord]:
         spec = self.spec
         rate_rng = streams.stream("update.arrivals")
-        pick_rng = streams.stream("update.stocks")
+        rank = streams.stream("update.stocks").zipf_sampler(
+            universe.n_stocks, spec.update_zipf_theta)
         exec_rng = streams.stream("update.exec")
         walk = PriceWalk(universe, streams.stream("update.prices"))
         columns: tuple[Column, ...] = (array("d"), [], array("d"),
@@ -302,9 +303,7 @@ class StockWorkloadGenerator:
             n_bursts = _poisson(rate_rng, rate * window / 1000.0)
             for __ in range(n_bursts):
                 burst_start = second_start + rate_rng.random() * window
-                rank = pick_rng.zipf_rank(universe.n_stocks,
-                                          spec.update_zipf_theta) - 1
-                symbol = universe.stock_for_update_rank(rank)
+                symbol = universe.stock_for_update_rank(rank() - 1)
                 burst_size = _geometric(rate_rng, geo_p)
                 for trade in range(burst_size):
                     offset = (0.0 if trade == 0 else
@@ -392,17 +391,16 @@ def _draw_pmf(rng: RandomStream,
     return len(pmf) - 1
 
 
-def _distinct_stocks(rng: RandomStream, universe: StockUniverse,
-                     n_items: int,
-                     theta: float) -> tuple[str, ...]:
+def _distinct_stocks(rank: typing.Callable[[], int],
+                     universe: StockUniverse,
+                     n_items: int) -> tuple[str, ...]:
     chosen: list[str] = []
     seen: set[str] = set()
     # Cap the rejection loop; with thousands of stocks collisions are rare.
     attempts = 0
     while len(chosen) < n_items and attempts < 20 * n_items:
         attempts += 1
-        rank = rng.zipf_rank(universe.n_stocks, theta) - 1
-        symbol = universe.stock_for_query_rank(rank)
+        symbol = universe.stock_for_query_rank(rank() - 1)
         if symbol not in seen:
             seen.add(symbol)
             chosen.append(symbol)

@@ -1,12 +1,19 @@
 """Unit + property tests for named random streams."""
 
+import bisect
 import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.serve import LoadgenConfig, build_schedule, qc_to_wire
 from repro.sim.rng import RandomStream, StreamRegistry, _derive_seed
+from repro.workload.synthetic import StockWorkloadGenerator, WorkloadSpec
+from tests.zipf_reference import (bisect_cdf_reference,
+                                  build_schedule_reference,
+                                  zipf_rank_reference,
+                                  zipf_sampler_reference)
 
 
 class TestStreamRegistry:
@@ -132,3 +139,75 @@ class TestZipfCdfCache:
         masses = [cdf[0]] + [b - a for a, b in zip(cdf, cdf[1:])]
         assert all(m1 >= m2 - 1e-12 for m1, m2 in zip(masses, masses[1:]))
         assert math.isclose(sum(masses), 1.0, rel_tol=1e-9)
+
+
+class TestZipfAgainstReference:
+    """``zipf_sampler`` (and ``zipf_rank``, one draw of it) bisects in C
+    with the CDF looked up once, and the generator loops hold a sampler;
+    all must draw exactly what the hand-written per-draw loops drew
+    (``tests/zipf_reference.py``)."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(weights=st.lists(st.floats(min_value=0.0, max_value=10.0),
+                            min_size=1, max_size=40),
+           data=st.data())
+    def test_bisect_left_matches_the_hand_written_loop(self, weights, data):
+        total = math.fsum(weights) or 1.0
+        acc, cdf = 0.0, []
+        for weight in weights:          # zero weights repeat an entry
+            acc += weight / total
+            cdf.append(min(acc, 1.0))
+        cdf[-1] = 1.0
+        # Any u in [0, 1), or exactly on a CDF entry.
+        u = data.draw(st.one_of(
+            st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+            st.sampled_from(cdf)))
+        index = bisect.bisect_left(cdf, u)
+        assert index == bisect_cdf_reference(cdf, u)
+        assert index < len(cdf)
+
+    @pytest.mark.parametrize("n,theta", [(512, 0.9), (512, 0.75),
+                                         (4608, 0.9), (1, 1.0), (10, 0.0)])
+    def test_zipf_rank_and_sampler_draw_the_reference_ranks(self, n, theta):
+        reference = RandomStream(5, "ref")
+        expected = [zipf_rank_reference(reference, n, theta)
+                    for __ in range(2000)]
+        rank_stream, sampler_stream = (RandomStream(5, "ref"),
+                                       RandomStream(5, "ref"))
+        sampler = sampler_stream.zipf_sampler(n, theta)
+        assert [rank_stream.zipf_rank(n, theta)
+                for __ in range(2000)] == expected
+        assert [sampler() for __ in range(2000)] == expected
+        # The streams are left in the same state, draw for draw.
+        assert rank_stream.random() == sampler_stream.random() \
+            == reference.random()
+
+    def test_zipf_sampler_rejects_empty_universe(self):
+        with pytest.raises(ValueError):
+            RandomStream(0, "z").zipf_sampler(0, 1.0)
+
+    def test_live_schedule_is_value_identical(self):
+        """The benchmark's ``live_overload`` schedule: seed 7, 3x, 12 s."""
+        config = LoadgenConfig(duration_ms=12_000.0, rate_multiplier=3.0,
+                               master_seed=7)
+
+        def rows(schedule):
+            return [(a.at_ms, a.kind, a.items, a.exec_ms, a.value,
+                     None if a.qc is None else qc_to_wire(a.qc))
+                    for a in schedule]
+
+        schedule = rows(build_schedule(config))
+        assert len(schedule) > 14_000
+        assert schedule == rows(build_schedule_reference(config))
+
+    def test_stock_trace_is_value_identical(self, monkeypatch):
+        """A 60 s ``StockWorkloadGenerator`` trace, generated once as is
+        and once with its samplers swapped for the reference loop."""
+        spec = WorkloadSpec().scaled(60_000.0)
+        trace = StockWorkloadGenerator(spec, 7).generate()
+        monkeypatch.setattr(RandomStream, "zipf_sampler",
+                            zipf_sampler_reference)
+        reference = StockWorkloadGenerator(spec, 7).generate()
+        assert len(trace.updates) > 10_000
+        assert trace.queries == reference.queries
+        assert trace.updates == reference.updates

@@ -46,8 +46,10 @@ def _reference_queries(generator, universe, streams):
         for __ in range(count):
             arrival = second_start + rate_rng.random() * window
             n_items = _draw_pmf(pick_rng, spec.read_set_pmf) + 1
-            items = _distinct_stocks(pick_rng, universe, n_items,
-                                     spec.query_zipf_theta)
+            items = _distinct_stocks(
+                lambda: pick_rng.zipf_rank(universe.n_stocks,
+                                           spec.query_zipf_theta),
+                universe, n_items)
             exec_ms = exec_rng.uniform(*spec.query_exec_range_ms)
             records.append(QueryRecord(arrival, items, exec_ms))
     return records
