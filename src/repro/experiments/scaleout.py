@@ -175,7 +175,7 @@ def run_sharded_simulation(n_shards: int,
                            admission_factory=admission_factory,
                            base_weight=base_weight, rebalance=rebalance)
     qc_rng = streams.stream("qc.sampler")
-    update_streams = split_update_streams(trace, portal.ring)
+    update_streams = split_update_streams(trace, portal.owner_of, n_shards)
 
     def query_source(env: Environment) -> ProcessGenerator:
         for arrival_ms, items, exec_ms in replay_rows(QueryRecord,

@@ -11,7 +11,10 @@ gray-failure health machinery unchanged.  The pieces:
   ownership; queries go through the
   :class:`~repro.shard.planner.ShardPlanner` (owner routing +
   scatter-gather fan-out), updates go to their owner's portal only —
-  this is what makes update work actually partition;
+  this is what makes update work actually partition.  Placement is
+  *data*: the portal holds the ring's owner table over its key universe
+  (hashed once per ring, :meth:`~repro.shard.ring.HashRing.owner_table`)
+  and every lookup indexes it; a cut-over swaps ring and table together;
 * **staleness-aware replica choice** — each shard's portal routes among
   its replicas with a
   :class:`~repro.shard.router.StalenessAwareRouter` fed by the update
@@ -52,7 +55,7 @@ from repro.sim.rng import StreamRegistry
 from repro.telemetry.hooks import TelemetryKnob, TelemetrySession
 
 from .planner import ShardPlanner
-from .ring import HashRing
+from .ring import HashRing, moved_between
 from .router import StalenessAwareRouter
 
 if typing.TYPE_CHECKING:  # pragma: no cover
@@ -134,6 +137,11 @@ class ShardedPortal:
         self.ring = HashRing(
             n_shards, ring_seed,
             weights={s: base_weight for s in range(n_shards)})
+        #: The live placement: ``self.ring``'s owner of every key in the
+        #: universe.  Changes only at cut-over, in the same no-yield
+        #: block as ``self.ring`` (by applying the migration's ``moved``
+        #: work-list — never by hashing again).
+        self._owners = self.ring.owner_table(self.keys)
         self.rebalance = rebalance
         self.telemetry = TelemetrySession.from_knob(telemetry)
         self._probe = (self.telemetry.shard_probe("shard")
@@ -158,6 +166,12 @@ class ShardedPortal:
                 telemetry=self.telemetry, health=health,
                 admission_factory=admission_factory,
                 telemetry_prefix=f"shard{index}/"))
+        #: Each router's update-rate hook (``None``: it tracks no rates),
+        #: resolved here rather than per delivered update.
+        self._observers: list[
+            typing.Callable[[str, float], None] | None] = [
+                getattr(router, "observe_update", None)
+                for router in self.routers]
         #: Load window the rebalance controller samples (queries routed
         #: + updates delivered per shard since the last sample).
         self._load_window = [0] * n_shards
@@ -182,9 +196,16 @@ class ShardedPortal:
     # ------------------------------------------------------------------
     # Arrivals
     # ------------------------------------------------------------------
+    def owner_of(self, key: str) -> int:
+        """The shard ``key`` routes to now: the table's answer, or
+        ``ring.owner(key)`` for a key outside the universe (which the
+        table never learns — it stays the size of ``keys``)."""
+        shard = self._owners.get(key)
+        return self.ring.owner(key) if shard is None else shard
+
     def submit_query(self, query: Query) -> None:
         """Plan the read set over the ring and dispatch."""
-        owners = self.planner.split(query, self.ring.owner)
+        owners = self.planner.split(query, self.owner_of)
         if len(owners) == 1:
             shard = next(iter(owners))
             self._load_window[shard] += 1
@@ -214,15 +235,14 @@ class ShardedPortal:
             group.buffered += 1
             self.counters.increment("updates_frozen")
             return
-        shard = self.ring.owner(item)
-        self._deliver_update(shard, arrival_time, exec_ms, item, value)
+        self._deliver_update(self.owner_of(item), arrival_time, exec_ms,
+                             item, value)
 
     def _deliver_update(self, shard: int, arrival_time: float,
                         exec_ms: float, item: str, value: float) -> None:
         self._load_window[shard] += 1
         self.update_counts[shard] += 1
-        router = self.routers[shard]
-        observe = getattr(router, "observe_update", None)
+        observe = self._observers[shard]
         if observe is not None:
             observe(item, arrival_time)
         self.shards[shard].broadcast_update(arrival_time, exec_ms, item,
@@ -251,7 +271,8 @@ class ShardedPortal:
                 continue  # cannot shed further
             successor = self.ring.with_weight(
                 hot, self.ring.weights[hot] - 1)
-            moved = self.ring.moved_keys(successor, self.keys)
+            moved = moved_between(self._owners,
+                                  successor.owner_table(self.keys))
             if not moved:
                 continue
             cold = min(range(n), key=lambda i: (loads[i], i))
@@ -331,8 +352,11 @@ class ShardedPortal:
         # destination in buffered order (no yields below — the whole
         # cutover is atomic at one simulated instant).
         self.ring = successor
-        for key in moved:
+        owners = self._owners
+        for key, (_, dest) in moved.items():
             del self._migrating[key]
+            if key in owners:
+                owners[key] = dest
         for group in ordered:
             replayed = 0
             for buffered_at, exec_ms, item, value in group.buffer:
@@ -375,7 +399,8 @@ class ShardedPortal:
     @property
     def total_percent(self) -> float:
         total_max = self.total_max
-        return self.total_gained / total_max if total_max else 0.0
+        # Summed in different orders: earning everything can overshoot an ulp.
+        return min(1.0, self.total_gained / total_max) if total_max else 0.0
 
     @property
     def qos_percent(self) -> float:

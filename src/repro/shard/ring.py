@@ -92,6 +92,18 @@ class HashRing:
             index = 0  # wrap past the top of the circle
         return self._owners[index]
 
+    def owner_table(self, keys: typing.Iterable[str]) -> dict[str, int]:
+        """``key -> owner`` for ``keys``, in their order, each answer
+        taken from :meth:`owner`.
+
+        A ring is immutable, so the table is valid for the ring's whole
+        life.  The ring itself keeps none: a memo here would grow with
+        every key ever asked about, while whoever routes over a closed
+        key universe (:class:`~repro.shard.portal.ShardedPortal`) knows
+        how large its table can get and when a successor replaces it.
+        """
+        return {key: self.owner(key) for key in keys}
+
     def assign(self, keys: typing.Iterable[str]) -> dict[int, list[str]]:
         """Ownership map ``shard -> keys`` (every key exactly once)."""
         out: dict[int, list[str]] = {s: [] for s in range(self.n_shards)}
@@ -123,10 +135,18 @@ class HashRing:
         work-list for a rebalance step.  Deterministic iteration order:
         follows ``keys``.
         """
-        moved: dict[str, tuple[int, int]] = {}
-        for key in keys:
-            old = self.owner(key)
-            new = successor.owner(key)
-            if old != new:
-                moved[key] = (old, new)
-        return moved
+        old = self.owner_table(keys)
+        return moved_between(old, successor.owner_table(old))
+
+
+def moved_between(old: typing.Mapping[str, int],
+                  new: typing.Mapping[str, int],
+                  ) -> dict[str, tuple[int, int]]:
+    """The diff of two owner tables over the same keys.
+
+    ``key -> (old_owner, new_owner)`` for every key whose owner differs,
+    in ``old``'s order — :meth:`HashRing.moved_keys` for a caller that
+    already holds one or both tables.
+    """
+    return {key: (was, new[key]) for key, was in old.items()
+            if new[key] != was}

@@ -4,10 +4,10 @@ In a sharded deployment each portal only pays for the updates to the
 keys it owns — that is the whole point of partitioning (replication
 makes every portal absorb all 4,608 stock streams; sharding divides
 them).  ``split_update_streams`` performs that division **at trace
-level**, against the run's *initial* ring: the driver feeds each
+level**, against the run's *initial* placement: the driver feeds each
 per-shard stream from its own source process, and any key that later
 migrates is re-routed live by :meth:`repro.shard.ShardedPortal.
-route_update` (ring lookup happens again at delivery time, so a
+route_update` (the owner is looked up again at delivery time, so a
 generation-time split stays correct across rebalances — the split only
 decides which source process carries the record, not which shard
 finally applies it).
@@ -23,13 +23,13 @@ import typing
 
 from repro.workload.traces import RecordColumns, Row, Trace, UpdateRecord
 
-if typing.TYPE_CHECKING:  # pragma: no cover
-    from repro.shard.ring import HashRing
-
 
 def split_update_streams(trace: Trace,
-                         ring: "HashRing") -> list[typing.Iterator[Row]]:
-    """Partition ``trace.updates`` by initial ring owner.
+                         owner_of: typing.Callable[[str], int],
+                         n_shards: int) -> list[typing.Iterator[Row]]:
+    """Partition ``trace.updates`` by ``owner_of(item)`` — the portal's
+    :meth:`~repro.shard.ShardedPortal.owner_of` at the start of the run,
+    or a bare ``ring.owner`` (asked once per distinct item either way).
 
     Returns one time-ordered, single-use stream of update rows
     ``(arrival_ms, item, exec_ms, value)`` per shard (``trace.updates`` is
@@ -38,4 +38,4 @@ def split_update_streams(trace: Trace,
     update load — the conservation the sharded determinism test asserts.
     """
     updates = RecordColumns.of(UpdateRecord, trace.updates)
-    return updates.partition("item", ring.owner, ring.n_shards)
+    return updates.partition("item", owner_of, n_shards)

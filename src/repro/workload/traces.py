@@ -163,11 +163,14 @@ class RecordColumns(collections.abc.Sequence[Record]):
                   n_parts: int) -> list[typing.Iterator[Row]]:
         """Stable split by ``part_of(row's field)``: one single-use
         :meth:`rows` stream per part, each still time-ordered, read off
-        this view's columns as it is consumed (nothing is copied)."""
+        this view's columns as it is consumed (nothing is copied).
+        ``part_of`` must be a function of the cell alone: it is asked
+        once per distinct cell, not once per row."""
         cells = self._columns[_fields(self._record).index(field)]
+        parts = {cell: part_of(cell) for cell in dict.fromkeys(cells)}
         members: list[list[int]] = [[] for _ in range(n_parts)]
-        for row, cell in enumerate(cells):
-            members[part_of(cell)].append(row)
+        for row, part in enumerate(map(parts.__getitem__, cells)):
+            members[part].append(row)
         return [zip(*(map(column.__getitem__, rows)
                       for column in self._columns))
                 for rows in members]

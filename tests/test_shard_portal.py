@@ -7,6 +7,10 @@ migration that exercises the freeze → drain → copy → cutover → replay
 protocol under an armed invariant monitor).
 """
 
+import hashlib
+import json
+import math
+
 import pytest
 
 from repro.cluster import QCAwareRouter, run_cluster_simulation
@@ -16,6 +20,7 @@ from repro.db.transactions import Query, TxnStatus, Update
 from repro.qc.contracts import QualityContract
 from repro.qc.generator import QCFactory
 from repro.scheduling import make_scheduler
+from repro.shard import ring as ring_module
 from repro.shard import (HashRing, RebalanceConfig, ShardedPortal,
                          ShardPlanner, StalenessAwareRouter,
                          UpdateRateTracker)
@@ -473,3 +478,140 @@ class TestShardedPortal:
         assert result.invariants_checked
         assert result.counters["queries_fanned_out"] > 0
         assert 0.0 < result.total_percent <= 1.0
+
+
+# ----------------------------------------------------------------------
+# Placement as data: the portal's per-epoch owner table
+# ----------------------------------------------------------------------
+def skew_trace():
+    """One hot-key minute (smoke scale): 1,256 stocks, 16.7k updates."""
+    from repro.experiments.config import ExperimentConfig
+    from repro.experiments.scaleout import hot_key_spec
+    spec = hot_key_spec(ExperimentConfig(scale="smoke").spec())
+    return StockWorkloadGenerator(spec, master_seed=7).generate()
+
+
+def skew_run(trace, **kwargs):
+    """The benchmark's sharded cell on ``trace`` (4 shards x 2 replicas,
+    rebalancing armed): 4 cut-overs on :func:`skew_trace`."""
+    from repro.experiments.scaleout import (SKEW_REBALANCE,
+                                            run_sharded_simulation)
+    return run_sharded_simulation(
+        4, lambda: make_scheduler("QUTS"), trace, QCFactory.balanced(),
+        master_seed=1, replicas_per_shard=2, rebalance=SKEW_REBALANCE,
+        **kwargs)
+
+
+class TestOwnerTable:
+    def test_steady_state_routing_hashes_nothing(self, monkeypatch):
+        """Hash budget: every ring built may hash its vnodes and the key
+        universe once; routing 16.7k updates and 2.6k queries adds
+        nothing (the per-lookup ring paid one hash per update, twice)."""
+        trace = skew_trace()
+        n_keys = len(trace.stocks)
+        hashes = budget = 0
+        position, build = ring_module._position, HashRing.__init__
+
+        def counted_position(seed, label):
+            nonlocal hashes
+            hashes += 1
+            return position(seed, label)
+
+        def counted_build(ring, *args, **kwargs):
+            nonlocal budget
+            build(ring, *args, **kwargs)
+            budget += len(ring._positions) + n_keys
+
+        monkeypatch.setattr(ring_module, "_position", counted_position)
+        monkeypatch.setattr(HashRing, "__init__", counted_build)
+        result = skew_run(trace)
+        assert result.rebalances == 4
+        assert len(trace.updates) > budget / 2  # the bound has teeth
+        assert 0 < hashes <= budget
+
+    def test_table_follows_the_ring_across_every_cutover(self, monkeypatch):
+        cutovers = []
+        migration = ShardedPortal._migration
+
+        def checked(portal, successor, moved):
+            before = dict(portal._owners)
+            yield from migration(portal, successor, moved)
+            assert portal.ring is successor
+            assert portal._owners == {
+                key: successor.owner(key) for key in portal.keys}
+            assert list(portal._owners) == list(portal.keys)
+            assert {key: (before[key], now)
+                    for key, now in portal._owners.items()
+                    if before[key] != now} == moved
+            cutovers.append(len(moved))
+
+        monkeypatch.setattr(ShardedPortal, "_migration", checked)
+        result = skew_run(skew_trace(), invariants=True)
+        assert len(cutovers) == result.rebalances == 4
+        assert sum(cutovers) == result.keys_migrated
+
+    def test_hand_driven_cutover_swaps_table_with_ring(self):
+        env = Environment()
+        keys = [f"S{i}" for i in range(128)]
+        portal = make_portal(
+            env, 2, keys, base_weight=4,
+            rebalance=RebalanceConfig(drain_poll_ms=5.0,
+                                      drain_timeout_ms=50.0))
+        old_ring = portal.ring
+        assert portal._owners == {k: old_ring.owner(k) for k in portal.keys}
+        successor = old_ring.with_weight(0, 3)
+        moved = old_ring.moved_keys(successor, portal.keys)
+        moved_key = sorted(moved)[0]
+        portal._migration_active = True
+        # A pending update keeps the drain (and so the old epoch) open.
+        portal.route_update(0.0, 2.0, moved_key, 1.0)
+        env.process(portal._migration(successor, moved))
+        env.run(until=1.0)
+        assert portal._migrating and portal.ring is old_ring
+        assert portal.owner_of(moved_key) == moved[moved_key][0]
+        env.run(until=1_000.0)  # before the controller's first sample
+        assert portal.ring is successor
+        assert portal.owner_of(moved_key) == moved[moved_key][1]
+        assert portal._owners == {k: successor.owner(k) for k in portal.keys}
+
+    def test_key_outside_the_universe_asks_the_ring_and_is_not_learned(self):
+        env = Environment()
+        keys = [f"S{i}" for i in range(32)]
+        portal = make_portal(env, 4, keys)
+        stranger = "NOT-IN-THE-TRACE"
+        owner = portal.ring.owner(stranger)
+        assert portal.owner_of(stranger) == owner
+        portal.route_update(0.0, 2.0, stranger, 7.0)
+        portal.submit_query(step_query(items=(stranger,)))
+        assert portal.update_counts[owner] == 1
+        assert portal.query_counts[owner] == 1
+        assert sum(portal.update_counts) == sum(portal.query_counts) == 1
+        assert stranger not in portal._owners
+        assert len(portal._owners) == len(keys)
+
+    def test_one_shard_run_digests_as_before(self):
+        """Pinned before the table existed: one shard owns everything,
+        so placement must be invisible in the result."""
+        from repro.experiments.scaleout import run_sharded_simulation
+        result = run_sharded_simulation(
+            1, lambda: make_scheduler("QUTS"), small_trace(),
+            QCFactory.balanced(), master_seed=3)
+        digest = json.dumps(result.digest(), sort_keys=True).encode()
+        assert hashlib.sha256(digest).hexdigest() == (
+            "4f38d3201dfad3ce12a7d8fd5aa70612"
+            "776f9d4f9ba1ed93202b105e31db52a2")
+
+
+class TestProfitShare:
+    def test_total_percent_never_exceeds_one(self):
+        """``total_gained`` and ``total_max`` are summed in different
+        orders over shards x replicas + the planner ledger, so a run
+        that earns everything can land one ulp above its maximum."""
+        portal = make_portal(Environment(), 2, ["A", "B"])
+        ledger = portal.planner.ledger
+        ledger.qos_max_submitted = 30.0
+        ledger.qos_gained = math.nextafter(30.0, math.inf)
+        assert portal.total_gained > portal.total_max
+        assert portal.total_percent == 1.0
+        ledger.qos_gained = 15.0
+        assert portal.total_percent == 0.5

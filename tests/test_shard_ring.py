@@ -16,7 +16,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.shard import ring as ring_module
 from repro.shard.ring import HashRing
+from tests.ring_reference import moved_keys_reference
 
 #: The paper's stock universe, as the workload generator names it.
 STOCKS = [f"S{i}" for i in range(4_608)]
@@ -130,3 +132,60 @@ class TestMinimalMovement:
     def test_unchanged_ring_moves_nothing(self):
         ring = HashRing(4, seed=3)
         assert ring.moved_keys(ring.with_weight(0, 1), STOCKS) == {}
+
+
+# ----------------------------------------------------------------------
+# Placement as a table: owner_table / moved_between vs per-key look-ups
+# ----------------------------------------------------------------------
+#: One successor step: ``None`` appends a shard, ``(shard, weight)``
+#: re-weights one (the shard index wraps to the ring's current size).
+ring_steps = st.lists(
+    st.none() | st.tuples(st.integers(min_value=0, max_value=7),
+                          st.integers(min_value=1, max_value=5)),
+    max_size=4)
+#: Universe keys and strangers, duplicates allowed.
+key_lists = st.lists(st.sampled_from(STOCKS[:200])
+                     | st.text(min_size=1, max_size=4), max_size=60)
+
+
+class TestOwnerTable:
+    @given(seed=st.integers(min_value=0, max_value=2**32),
+           n_shards=st.integers(min_value=1, max_value=8),
+           steps=ring_steps, keys=key_lists)
+    @settings(max_examples=60, deadline=None)
+    def test_tables_and_their_diff_match_per_key_lookups(
+            self, seed, n_shards, steps, keys):
+        ring = HashRing(n_shards, seed, vnodes_per_weight=8)
+        for step in steps:
+            table = ring.owner_table(keys)
+            assert table == {key: ring.owner(key) for key in keys}
+            assert list(table) == list(dict.fromkeys(keys))
+            if step is None:
+                successor = ring.with_shard()
+            else:
+                successor = ring.with_weight(step[0] % ring.n_shards,
+                                             step[1])
+            expected = moved_keys_reference(ring, successor, keys)
+            for moved in (ring.moved_keys(successor, keys),
+                          ring.moved_keys(successor, iter(keys)),
+                          ring_module.moved_between(
+                              table, successor.owner_table(keys))):
+                assert moved == expected
+                assert list(moved) == list(expected)
+            ring = successor
+
+    def test_the_ring_itself_keeps_no_memo(self, monkeypatch):
+        """``owner()`` stays a hash + bisect per call (``bench/micro.py``
+        times exactly that) and a table belongs to whoever asked."""
+        hashed = []
+        position = ring_module._position
+        monkeypatch.setattr(
+            ring_module, "_position",
+            lambda seed, label: hashed.append(label) or position(seed, label))
+        ring = HashRing(4, seed=5, vnodes_per_weight=4)
+        del hashed[:]
+        first = ring.owner_table(["S0", "S1"])
+        assert [ring.owner("S0") for _ in range(3)] == [first["S0"]] * 3
+        assert hashed == ["key:S0", "key:S1"] + ["key:S0"] * 3
+        first["S0"] = -1
+        assert ring.owner_table(["S0"]) == {"S0": ring.owner("S0")}

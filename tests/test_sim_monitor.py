@@ -1,6 +1,9 @@
 """Unit + property tests for the measurement utilities."""
 
+import pickle
 import statistics
+import tracemalloc
+from array import array
 
 import pytest
 from hypothesis import given, settings
@@ -337,3 +340,77 @@ class TestCounters:
         counters.increment("zebra")
         counters.increment("apple")
         assert list(counters.as_dict()) == ["apple", "zebra"]
+
+
+def list_series_points(max_points, samples):
+    """The retained points of a bounded series kept in two plain lists
+    — the decimation rule, spelled out on the storage it was written
+    for, as the reference for the packed columns."""
+    times, values, stride = [], [], 1
+    for offer, (time, value) in enumerate(samples):
+        if offer % stride:
+            continue
+        if len(times) >= max_points:
+            del times[1::2]
+            del values[1::2]
+            stride *= 2
+            if offer % stride:
+                continue
+        times.append(time)
+        values.append(value)
+    return times, values, stride
+
+
+class TestPackedColumns:
+    def test_100k_samples_retain_under_two_megabytes(self):
+        """16 bytes a sample; two lists of boxed floats kept ~64."""
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            series = TimeSeries("profit")
+            for t in range(100_000):
+                series.record(t * 1.5, t * 0.25)
+            after, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(series) == 100_000
+        assert after - before <= 2_000_000
+
+    @pytest.mark.parametrize("max_points", [2, 5, 8, 64])
+    @pytest.mark.parametrize("n_samples", [1, 7, 64, 1_000])
+    def test_decimation_keeps_the_points_the_list_code_kept(
+            self, max_points, n_samples):
+        samples = [(t * 0.5, float(t * t)) for t in range(n_samples)]
+        series = TimeSeries(max_points=max_points)
+        for time, value in samples:
+            series.record(time, value)
+        times, values, stride = list_series_points(max_points, samples)
+        assert (series.times, series.values) == (times, values)
+        assert (series.stride, series.offered) == (stride, n_samples)
+
+    def test_columns_read_like_the_lists_they_replace(self):
+        series = TimeSeries()
+        series.record(1, 2)        # ints read back as the equal floats
+        series.record(2.5, 3.5)
+        assert isinstance(series.times, array)
+        assert series.times == [1.0, 2.5] and [2.0, 3.5] == series.values
+        assert not series.values != [2.0, 3.5]
+        assert series.values != [2.0] and series.values != [2.0, 3.0]
+        assert series.values == array("d", [2.0, 3.5])
+        assert repr(series.values[0]) == "2.0"
+        assert list(series.items()) == [(1.0, 2.0), (2.5, 3.5)]
+
+    @pytest.mark.parametrize("protocol",
+                             range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_pickle_round_trip_stays_packed(self, protocol):
+        series = TimeSeries("rho", max_points=4)
+        for t in range(11):
+            series.record(float(t), t / 10)
+        clone = pickle.loads(pickle.dumps(series, protocol))
+        assert type(clone.times) is type(series.times) is not list
+        for both in (series, clone):
+            both.record(11.0, 1.1)
+            both.record(12.0, 1.2)
+        assert (clone.times, clone.values) == (series.times, series.values)
+        assert vars(clone).keys() == vars(series).keys()
+        assert clone.time_weighted_mean() == series.time_weighted_mean()
