@@ -6,55 +6,40 @@ end-to-end simulated-transaction rate of the full stack.  They guard
 against performance regressions that would make the full-scale
 experiments impractical (the 30-minute trace replays ~580k transactions).
 
-The calendar-queue kernel is benchmarked A/B against
-:class:`~repro.sim.environment.HeapEnvironment` — the previous commit's
-binary-heap kernel, kept verbatim as the executable specification — on
-two workloads, interleaved (heap, calendar, heap, calendar, ...) with
-the minimum over rounds on each side so machine-load drift hits both
-arms equally:
-
-* the **deep deadline backlog** the calendar queue was built for
-  (overload serving keeps hundreds of thousands of in-flight deadline
-  timeouts pending): the heap pays O(log n) tuple comparisons per event
-  while the calendar drains whole millisecond buckets, so the speedup
-  here is the headline number; and
-* the **shallow ticker storm** (queue depth ~1), which is the binary
-  heap's best case — recorded honestly, the calendar gives a little
-  back there, and real sweeps are nowhere near queue depth 1.
-
-Both kernels must also produce *bit-identical* simulation ledgers on a
-real policy run; that check gates the speedup claim.  Measured rates are
-appended to ``benchmarks/results/kernel_throughput.json`` so the
-performance trajectory across commits has data.
+The kernel is measured as a **depth curve**, not a single point: the
+classic *hold model* (``depth`` processes, each re-arming one timeout,
+so the queue holds ``depth`` pending events throughout, about one event
+per simulated millisecond) at pending depths from 1 to 65,536.  The
+library's own traffic sits at the shallow end — mean 5-18 pending
+events on every benchmark workload, at most 126
+(``tests/test_kernel_traffic.py``) — and the deep end is recorded so
+that whoever brings deeper traffic knows what the binary heap costs
+there before choosing another structure.  Measured rates are appended
+to ``benchmarks/results/kernel_throughput.json`` so the performance
+trajectory across commits has data.
 """
 
 import gc
 import json
-import pickle
 import time
 
 from conftest import host_metadata
 
-import repro.experiments.runner as runner_mod
-from repro.experiments.figures import _policy_run_task
 from repro.experiments.runner import run_simulation
 from repro.qc.generator import QCFactory
 from repro.scheduling import QUTSScheduler
 from repro.sim import Environment
-from repro.sim.environment import HeapEnvironment
 from repro.workload.synthetic import StockWorkloadGenerator, WorkloadSpec
 
 N_TIMEOUT_EVENTS = 50_000
-#: Deep-backlog A/B: one million pending deadline timeouts, quantized to
-#: the workload's millisecond grid, ~100 per calendar bucket.
-BACKLOG_EVENTS = 1_000_000
-BACKLOG_HORIZON_MS = 10_000
-AB_ROUNDS = 3
-#: CI-safe floor for the deep-backlog speedup; the committed artifact
-#: records the measured value (~3.2x on the 1-core bench VM).  Cache
-#: geometry moves the exact ratio machine to machine, the asymptotics
-#: do not.
-MIN_DEEP_SPEEDUP = 2.0
+#: Hold model: pending depths measured, events timed at each, rounds.
+HOLD_DEPTHS = (1, 16, 128, 1_024, 8_192, 65_536)
+HOLD_EVENTS = 200_000
+HOLD_ROUNDS = 3
+#: CI-safe floors (events/s).  The committed artifact records the
+#: measured curve; these only catch a kernel that stopped being a heap.
+MIN_SHALLOW_RATE = 300_000   # every depth <= 128
+MIN_DEEPEST_RATE = 100_000   # depth 65,536
 
 
 def _record(results_dir, name: str, payload: dict) -> None:
@@ -79,10 +64,10 @@ def _timed(fn, *args):
 
 
 # ----------------------------------------------------------------------
-# Workloads (parameterised by kernel class so both arms run one code path)
+# Workloads
 # ----------------------------------------------------------------------
-def _timeout_storm(env_cls):
-    env = env_cls()
+def _timeout_storm():
+    env = Environment()
     fired = [0]
 
     def ticker(env):
@@ -95,38 +80,33 @@ def _timeout_storm(env_cls):
     return fired[0]
 
 
-def _deep_backlog(env_cls, delays):
-    env = env_cls()
-    timeout = env.timeout
-    for delay in delays:
-        timeout(delay)
-    env.run()
-    return env.now
+def _hold_model(depth: int) -> float:
+    """Events per second with ``depth`` timeouts pending throughout."""
+    env = Environment()
+    fired = [0]
 
+    def holder(env, state):
+        while True:
+            # Deterministic jitter in [0.5, 1.5) x depth ms: the mean
+            # re-arm delay equals the depth, so the whole model fires
+            # about one event per simulated millisecond at any depth.
+            state = (state * 7919 + 1) % 1_000_003
+            yield env.timeout(depth * (0.5 + state / 1_000_003.0))
+            fired[0] += 1
 
-def _ledger_fingerprint(env_cls) -> bytes:
-    """A real QUTS run's full result ledger under the given kernel."""
-    trace = StockWorkloadGenerator(WorkloadSpec().scaled(20_000.0),
-                                   master_seed=7).generate()
-    original = runner_mod.Environment
-    runner_mod.Environment = env_cls
-    try:
-        result = _policy_run_task("QUTS", trace, QCFactory.balanced(), 5)
-    finally:
-        runner_mod.Environment = original
-    rho = (None if result.rho_series is None
-           else tuple(result.rho_series.items()))
-    return pickle.dumps((result.scheduler_name, result.qos_percent,
-                         result.qod_percent, result.total_percent,
-                         result.mean_response_time, result.mean_staleness,
-                         sorted(result.counters.items()), rho))
+    for k in range(depth):
+        env.process(holder(env, k))
+    env.run(until=0.0)  # start every process: `depth` timeouts pending
+    fired[0] = 0
+    elapsed, __ = _timed(env.run, float(HOLD_EVENTS))
+    return fired[0] / elapsed
 
 
 # ----------------------------------------------------------------------
 # Benches
 # ----------------------------------------------------------------------
 def test_kernel_event_rate(benchmark, results_dir):
-    fired = benchmark(_timeout_storm, Environment)
+    fired = benchmark(_timeout_storm)
     assert fired == N_TIMEOUT_EVENTS
     # Sanity floor: a pure-Python DES should clear well over 100k
     # timeout events per second on any modern machine.
@@ -140,58 +120,25 @@ def test_kernel_event_rate(benchmark, results_dir):
     })
 
 
-def test_kernel_ab_vs_previous(results_dir):
-    """Interleaved calendar-vs-heap A/B on both workload regimes."""
-    delays = [float((i * 7919) % BACKLOG_HORIZON_MS)
-              for i in range(BACKLOG_EVENTS)]
-    best: dict = {}
-    for __ in range(AB_ROUNDS):
-        for name, env_cls in (("heap", HeapEnvironment),
-                              ("calendar", Environment)):
-            deep_s, end = _timed(_deep_backlog, env_cls, delays)
-            shallow_s, fired = _timed(_timeout_storm, env_cls)
-            assert fired == N_TIMEOUT_EVENTS
-            assert end == float(BACKLOG_HORIZON_MS - 1)
-            best[name, "deep"] = min(best.get((name, "deep"), deep_s),
-                                     deep_s)
-            best[name, "shallow"] = min(
-                best.get((name, "shallow"), shallow_s), shallow_s)
-
-    # The speedup claim is only worth recording if both kernels agree
-    # on a real simulation down to the last bit.
-    bit_identical = (_ledger_fingerprint(HeapEnvironment)
-                     == _ledger_fingerprint(Environment))
-    assert bit_identical
-
-    deep_speedup = best["heap", "deep"] / best["calendar", "deep"]
-    shallow_ratio = best["heap", "shallow"] / best["calendar", "shallow"]
-    _record(results_dir, "deep_backlog_ab", {
-        "workload": (f"{BACKLOG_EVENTS} pending ms-quantized deadline "
-                     f"timeouts over {BACKLOG_HORIZON_MS} ms"),
-        "previous_kernel": "HeapEnvironment (binary heap, verbatim "
-                           "pre-calendar kernel)",
-        "previous_s": round(best["heap", "deep"], 3),
-        "calendar_s": round(best["calendar", "deep"], 3),
-        "previous_rate": round(BACKLOG_EVENTS / best["heap", "deep"]),
-        "calendar_rate": round(BACKLOG_EVENTS / best["calendar", "deep"]),
-        "rate_unit": "events/s",
-        "speedup_vs_previous": round(deep_speedup, 2),
-        "bit_identical": bit_identical,
-        "rounds": AB_ROUNDS,
-        "protocol": "interleaved, min over rounds, gc disabled",
+def test_kernel_depth_curve(results_dir):
+    """The hold model at each pending depth, best of ``HOLD_ROUNDS``."""
+    curve = {depth: max(_hold_model(depth) for __ in range(HOLD_ROUNDS))
+             for depth in HOLD_DEPTHS}
+    _record(results_dir, "depth_curve", {
+        "workload": (f"hold model: N processes each re-arming one "
+                     f"timeout (mean delay N ms), {HOLD_EVENTS} "
+                     f"simulated ms timed at each depth"),
+        "curve": [{"pending": depth, "events_per_s": round(rate)}
+                  for depth, rate in curve.items()],
+        "rounds": HOLD_ROUNDS,
+        "protocol": "max rate over rounds, gc disabled",
     })
-    _record(results_dir, "shallow_storm_ab", {
-        "workload": f"shallow ticker storm ({N_TIMEOUT_EVENTS} x 1ms), "
-                    "queue depth ~1",
-        "speedup_vs_previous": round(shallow_ratio, 2),
-        "bit_identical": bit_identical,
-        "note": "the binary heap's best case: at depth 1 its O(log n) "
-                "discipline is free while the calendar still pays "
-                "bucket bookkeeping; real sweeps run far deeper",
-    })
-    print(f"\nkernel A/B vs heap: deep {deep_speedup:.2f}x, "
-          f"shallow {shallow_ratio:.2f}x, bit_identical={bit_identical}")
-    assert deep_speedup >= MIN_DEEP_SPEEDUP
+    print("\nkernel depth curve: " + ", ".join(
+        f"{depth}: {rate / 1e3:.0f}k/s" for depth, rate in curve.items()))
+    for depth, rate in curve.items():
+        if depth <= 128:
+            assert rate >= MIN_SHALLOW_RATE, (depth, rate)
+    assert curve[HOLD_DEPTHS[-1]] >= MIN_DEEPEST_RATE
 
 
 def _end_to_end_slice():

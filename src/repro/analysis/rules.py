@@ -26,8 +26,7 @@ no-ambient-entropy fault/chaos code may not read OS entropy (urandom,
                    master seed alone
 single-event-queue only ``sim.environment`` owns an event-queue
                    implementation; no second heapq in the kernel
-                   package, no poking ``_cal_*`` internals, no
-                   HeapEnvironment in library code
+                   package
 no-entropy-taint   host-entropy values (wall clock, OS randomness,
                    unseeded RNGs) may not flow — even through
                    function returns — into event scheduling
@@ -482,41 +481,22 @@ class AmbientEntropyRule(Rule):
 class SingleEventQueueRule(Rule):
     """Only ``sim.environment`` may own an event-queue implementation.
 
-    The calendar queue's fidelity guarantee — every event dispatches in
-    exact ``(time, priority, eid)`` order — holds because that
-    tie-break lives in one module.  A second queue silently forks the
-    contract, so library code may not: import ``heapq`` inside the
-    kernel package (``repro.sim``), reach into the ``_cal_*`` calendar
-    internals, or run on :class:`~repro.sim.environment.HeapEnvironment`
-    (the previous heap kernel, kept solely as the executable
-    specification for the A/B benchmarks and equivalence tests).
-    ``heapq`` outside the kernel package — e.g. the transaction queues
-    in ``repro.scheduling`` — orders transactions, not events, and
-    stays legal.
+    The kernel's fidelity guarantee — every event dispatches in exact
+    ``(time, priority, eid)`` order — holds because that tie-break
+    lives in one module.  A second queue silently forks the contract,
+    so no other module of the kernel package (``repro.sim``) may import
+    ``heapq``.  ``heapq`` outside the kernel package — e.g. the
+    transaction queues in ``repro.scheduling`` — orders transactions,
+    not events, and stays legal.
     """
 
     rule_id = "single-event-queue"
     summary = ("event-queue implementation outside sim.environment "
-               "(heapq in the kernel package, _cal_* internals, or "
-               "HeapEnvironment in library code)")
-    scope = ("src/repro",)
+               "(heapq in the kernel package)")
+    scope = ("src/repro/sim",)
     exempt = ("src/repro/sim/environment.py",)
 
-    #: The kernel package, where a stray heapq can only mean a rival
-    #: event queue.
-    KERNEL_PATH: typing.ClassVar[str] = "src/repro/sim"
-    HEAP_KERNEL: typing.ClassVar[str] = \
-        "repro.sim.environment.HeapEnvironment"
-
-    def _in_kernel(self) -> bool:
-        assert self.module is not None
-        relpath = self.module.relpath
-        return (relpath == self.KERNEL_PATH
-                or relpath.startswith(self.KERNEL_PATH + "/"))
-
     def visit_Import(self, node: ast.Import) -> None:
-        if not self._in_kernel():
-            return
         for alias in node.names:
             if alias.name == "heapq":
                 self.report(node,
@@ -525,35 +505,10 @@ class SingleEventQueueRule(Rule):
                             "only")
 
     def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
-        if node.module == "heapq" and not node.level \
-                and self._in_kernel():
+        if node.module == "heapq" and not node.level:
             self.report(node,
                         "imports from heapq inside the kernel package; "
                         "the event queue lives in sim.environment only")
-            return
-        for alias in node.names:
-            if alias.name == "HeapEnvironment":
-                self.report(node,
-                            "imports HeapEnvironment; the heap kernel "
-                            "is the benchmarks' executable spec — "
-                            "library code runs on Environment")
-
-    def _check_heap_kernel(self, node: ast.expr) -> None:
-        assert self.module is not None
-        if self.module.imports.resolve(node) == self.HEAP_KERNEL:
-            self.report(node,
-                        "uses HeapEnvironment; the heap kernel is the "
-                        "benchmarks' executable spec — library code "
-                        "runs on Environment")
-
-    def visit_Attribute(self, node: ast.Attribute) -> None:
-        if node.attr.startswith("_cal_"):
-            self.report(node,
-                        f"touches the calendar-queue internal "
-                        f"'{node.attr}'; only sim.environment may "
-                        f"manage event-queue state")
-            return
-        self._check_heap_kernel(node)
 
 
 # ----------------------------------------------------------------------

@@ -22,6 +22,7 @@ retry budget make an informed decision.
 from __future__ import annotations
 
 import asyncio
+import collections.abc
 import json
 import typing
 
@@ -31,10 +32,42 @@ from .gateway import GatewayReply, QCGateway
 
 #: QC shapes expressible on the wire.
 _QC_SHAPES = ("step", "linear")
+_INF = float("inf")
 
 
 class ProtocolError(ValueError):
     """A malformed request line (the reply carries the message)."""
+
+
+# ----------------------------------------------------------------------
+# Numbers on the wire
+# ----------------------------------------------------------------------
+# Python's ``json`` parses ``NaN`` and ``Infinity``, and the objects
+# behind the gateway either refuse such a number with a bare
+# ``ValueError`` (``Transaction``) or take it silently (a contract whose
+# ``rt_max`` is NaN never pays, yet its maximum enters the ledger, and
+# a NaN priority breaks the queue's order).  Every number is therefore
+# checked here, where outside input enters.  (A chained comparison is
+# False for NaN, so each test below refuses it too.)
+def _finite(name: str, raw: typing.Any) -> float:
+    number = float(raw)
+    if not -_INF < number < _INF:
+        raise ProtocolError(f"{name} must be finite, got {number}")
+    return number
+
+
+def _non_negative(name: str, raw: typing.Any) -> float:
+    number = float(raw)
+    if not 0.0 <= number < _INF:
+        raise ProtocolError(f"{name} must be finite and >= 0, got {number}")
+    return number
+
+
+def _positive(name: str, raw: typing.Any) -> float:
+    number = float(raw)
+    if not 0.0 < number < _INF:
+        raise ProtocolError(f"{name} must be finite and > 0, got {number}")
+    return number
 
 
 # ----------------------------------------------------------------------
@@ -52,6 +85,8 @@ def qc_to_wire(qc: QualityContract, shape: str = "step",
 
 def qc_from_wire(wire: typing.Mapping[str, typing.Any]) -> QualityContract:
     """Rebuild a contract from its wire dict."""
+    if not isinstance(wire, collections.abc.Mapping):
+        raise ProtocolError("a QC must be an object")
     shape = wire.get("shape", "step")
     if shape not in _QC_SHAPES:
         raise ProtocolError(f"unknown QC shape {shape!r}")
@@ -59,9 +94,12 @@ def qc_from_wire(wire: typing.Mapping[str, typing.Any]) -> QualityContract:
                else QualityContract.linear)
     try:
         return builder(
-            float(wire["qos_max"]), float(wire["rt_max"]),
-            float(wire["qod_max"]), float(wire["uu_max"]),
-            lifetime=float(wire.get("lifetime_ms", 150_000.0)))
+            _non_negative("qos_max", wire["qos_max"]),
+            _non_negative("rt_max", wire["rt_max"]),
+            _non_negative("qod_max", wire["qod_max"]),
+            _non_negative("uu_max", wire["uu_max"]),
+            lifetime=_positive("lifetime_ms",
+                               wire.get("lifetime_ms", 150_000.0)))
     except (KeyError, TypeError, ValueError) as exc:
         raise ProtocolError(f"bad QC on the wire: {exc}") from exc
 
@@ -107,7 +145,9 @@ def submit_from_wire(gateway: QCGateway,
     if op == "query":
         try:
             items = [str(item) for item in request["items"]]
-            exec_ms = float(request.get("exec_ms", 5.0))
+            if not items:
+                raise ProtocolError("items must name at least one item")
+            exec_ms = _positive("exec_ms", request.get("exec_ms", 5.0))
             qc = qc_from_wire(request.get("qc", {}))
         except (KeyError, TypeError, ValueError) as exc:
             raise ProtocolError(f"bad query: {exc}") from exc
@@ -115,8 +155,8 @@ def submit_from_wire(gateway: QCGateway,
     if op == "update":
         try:
             item = str(request["item"])
-            value = float(request.get("value", 0.0))
-            exec_ms = float(request.get("exec_ms", 2.0))
+            value = _finite("value", request.get("value", 0.0))
+            exec_ms = _positive("exec_ms", request.get("exec_ms", 2.0))
         except (KeyError, TypeError, ValueError) as exc:
             raise ProtocolError(f"bad update: {exc}") from exc
         return gateway.submit_update(item, value, exec_ms)

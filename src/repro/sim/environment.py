@@ -1,4 +1,4 @@
-"""The simulation environment: clock, calendar event queue, and run loop.
+"""The simulation environment: clock, event queue, and run loop.
 
 :class:`Environment` owns simulated time and the pending-event queue.
 Time is a float; in this library it is interpreted as milliseconds
@@ -10,30 +10,28 @@ Event-queue discipline
 Events are dispatched in exact ``(time, priority, eid)`` order, where
 ``eid`` is a strictly increasing insertion counter — same time and
 priority means strict FIFO.  This total order is the contract every
-bit-identity guarantee in the repository rests on; two implementations
-of it live here, and **only** here (enforced by the ``single-event-queue``
-simlint rule):
+bit-identity guarantee in the repository rests on, and it has one
+implementation in the library, here (enforced by the
+``single-event-queue`` simlint rule): a binary heap of ``(time,
+priority, eid, event)`` tuples whose natural order *is* the contract.
+An independently written heap kernel lives beside the other executable
+specifications in ``tests/kernel_reference.py``; the hypothesis
+equivalence tests require identical dispatch sequences and ledgers from
+both.
 
-* :class:`Environment` — the production *calendar queue*: a dict of
-  per-millisecond buckets (``int(time)`` → unsorted entry list) plus a
-  lazy min-heap of bucket keys.  Insertion is O(1) amortised (the key
-  heap is only touched when a bucket is first created), and the run
-  loop drains one bucket at a time: sort once, then dispatch the whole
-  batch without re-reading the queue — events scheduled *into* the open
-  bucket by callbacks are routed to a side list and merged in, so the
-  dispatch order is exactly the heap order.  Unlike a binary heap, the
-  per-event cost does not grow with the number of pending events, which
-  is what makes 10x-overload serving runs (hundreds of thousands of
-  in-flight deadline timeouts) affordable.
-* :class:`HeapEnvironment` — the former ``heapq`` implementation, kept
-  as the executable specification.  The hypothesis equivalence tests
-  and the interleaved A/B kernel benchmarks run both and require
-  identical pop sequences and ledgers.
+A heap because of the traffic the queue actually carries: a server
+holds one job in service plus the next arrival per stream, so the mean
+pending depth is 5-18 events on every benchmark workload (at most 126:
+the failover back-off timers of the queries a replica crash stranded)
+and grows with the number of replicas, never with load —
+``tests/test_kernel_traffic.py`` pins those depths.  Nothing in the
+library arms a timer per submitted transaction.
 
-Entries with a non-finite time (``timeout(float("inf"))``) never fit a
-calendar bucket; they live in a far-future overflow list that is only
-consulted once every finite event has been dispatched — exactly where
-the heap would have put them.
+An entry at ``+inf`` (``timeout(float("inf"))``) sorts after every
+finite one on its own.  A NaN time compares false against everything
+and would silently break the heap's order, so :meth:`Environment.schedule`
+and :meth:`Environment.timeout` refuse it with
+:class:`~repro.sim.errors.SchedulingError`.
 """
 
 from __future__ import annotations
@@ -47,13 +45,6 @@ from .events import Event, Timeout, all_of, any_of
 from .process import Event_NORMAL, Process, ProcessGenerator
 
 Infinity = float("inf")
-
-#: "No bucket is open" sentinel for ``Environment._cal_open_key``.  NaN
-#: compares unequal to every int, and ``int == nan`` resolves in one
-#: C-level rich comparison — unlike ``int == None``, which goes through
-#: two reflected ``NotImplemented`` round-trips on the schedule hot
-#: path.
-_NO_BUCKET = float("nan")
 
 #: One pending entry: the total order is the tuple's natural order.
 Entry = typing.Tuple[float, int, int, Event]
@@ -109,31 +100,22 @@ class Environment:
         #: permuted) counter — see :mod:`repro.sim.sanitizer`.
         self._eid: typing.Iterator[int] = count()
         self._active_proc: Process | None = None
-        # Calendar queue state (see the module docstring).  The bucket
-        # key of an entry at time t is int(t): truncation is monotone in
-        # t, so bucket order plus an in-bucket sort reproduces the exact
-        # (time, priority, eid) heap order.
-        self._cal_buckets: dict[int, list[Entry]] = {}
-        self._cal_keys: list[int] = []  # min-heap; may hold stale keys
-        self._cal_far: list[Entry] = []  # non-finite times (inf)
-        self._cal_open: list[Entry] = []  # arrivals into the open bucket
-        self._cal_open_key: float = _NO_BUCKET  # bucket being drained
-        self._cal_size = 0
+        #: Binary min-heap of pending entries (see the module docstring).
+        self._queue: list[Entry] = []
         #: Optional kernel telemetry observer.  ``None`` (the default)
-        #: keeps :meth:`run` on the uninstrumented inlined loop — the
-        #: disabled path costs one comparison per ``run()`` call, not
-        #: per event.
+        #: keeps :meth:`run` on the uninstrumented loop — the disabled
+        #: path costs one comparison per ``run()`` call, not per event.
         self.telemetry: EventObserver | None = None
         #: Optional determinism sanitizer (``repro.sim.sanitizer``).
-        #: ``None`` (the default) keeps :meth:`run` on the batched
-        #: loops below; installed, :meth:`run` switches to the
-        #: one-entry-at-a-time :meth:`_run_sanitized` path, which
-        #: dispatches in the identical ``(time, priority, eid)`` order
-        #: via :meth:`_pop_entry` but exposes every entry to the probe.
+        #: ``None`` (the default) keeps :meth:`run` on the loops below;
+        #: installed, :meth:`run` switches to :meth:`_run_sanitized`,
+        #: which dispatches in the identical ``(time, priority, eid)``
+        #: order via :meth:`_pop_entry` but exposes every entry to the
+        #: probe.
         self.sanitizer: SanitizerProbe | None = None
 
     def __repr__(self) -> str:
-        return f"<Environment t={self._now} queued={self._cal_size}>"
+        return f"<Environment t={self._now} queued={len(self._queue)}>"
 
     @property
     def now(self) -> float:
@@ -155,7 +137,7 @@ class Environment:
     def timeout(self, delay: float, value: object = None) -> Timeout:
         """An event triggering ``delay`` time units from now.
 
-        Timeouts dominate event creation (every service slice, deadline,
+        Timeouts dominate event creation (every service slice, arrival
         and adaptation period is one), so this constructs and enqueues
         the event inline rather than through ``Timeout.__init__`` →
         :meth:`schedule` — same fields, same one ``eid`` consumed, two
@@ -171,22 +153,10 @@ class Environment:
         event._defused = False
         event.delay = delay
         t = self._now + delay
-        try:
-            key = int(t)
-        except (OverflowError, ValueError):
-            self._insert_nonfinite(t, Event_NORMAL, event)
-            return event
-        entry = (t, Event_NORMAL, next(self._eid), event)
-        if key == self._cal_open_key:
-            self._cal_open.append(entry)
-        else:
-            bucket = self._cal_buckets.get(key)
-            if bucket is None:
-                self._cal_buckets[key] = [entry]
-                heappush(self._cal_keys, key)
-            else:
-                bucket.append(entry)
-        self._cal_size += 1
+        if t != t:
+            raise SchedulingError(
+                f"cannot schedule {event!r} at non-finite time {t}")
+        heappush(self._queue, (t, Event_NORMAL, next(self._eid), event))
         return event
 
     def process(self, generator: ProcessGenerator,
@@ -213,66 +183,21 @@ class Environment:
             raise SchedulingError(f"cannot schedule {event!r} in the past "
                                   f"(delay={delay})")
         t = self._now + delay
-        try:
-            key = int(t)
-        except (OverflowError, ValueError):
-            self._insert_nonfinite(t, priority, event)
-            return
-        entry = (t, priority, next(self._eid), event)
-        if key == self._cal_open_key:
-            self._cal_open.append(entry)
-        else:
-            bucket = self._cal_buckets.get(key)
-            if bucket is None:
-                self._cal_buckets[key] = [entry]
-                heappush(self._cal_keys, key)
-            else:
-                bucket.append(entry)
-        self._cal_size += 1
-
-    def _insert_nonfinite(self, t: float, priority: int,
-                          event: Event) -> None:
-        """Overflow path for entries whose time fits no calendar bucket."""
-        if t == Infinity:
-            self._cal_far.append((t, priority, next(self._eid), event))
-            self._cal_size += 1
-            return
-        raise SchedulingError(
-            f"cannot schedule {event!r} at non-finite time {t}")
+        if t != t:  # NaN orders against nothing: it would corrupt the heap
+            raise SchedulingError(
+                f"cannot schedule {event!r} at non-finite time {t}")
+        heappush(self._queue, (t, priority, next(self._eid), event))
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none."""
-        keys = self._cal_keys
-        buckets = self._cal_buckets
-        while keys:
-            bucket = buckets.get(keys[0])
-            if bucket is not None:
-                return min(bucket)[0]
-            heappop(keys)  # stale key: bucket already drained
-        return Infinity
+        return self._queue[0][0] if self._queue else Infinity
 
     def _pop_entry(self) -> Entry:
         """Remove and return the single next entry in queue order."""
-        keys = self._cal_keys
-        buckets = self._cal_buckets
-        while keys:
-            key = keys[0]
-            bucket = buckets.get(key)
-            if bucket is None:
-                heappop(keys)  # stale key
-                continue
-            bucket.sort()
-            entry = bucket.pop(0)
-            if not bucket:
-                del buckets[key]
-            self._cal_size -= 1
-            return entry
-        far = self._cal_far
-        if far:
-            far.sort()
-            self._cal_size -= 1
-            return far.pop(0)
-        raise EventLifecycleError("no more events")
+        try:
+            return heappop(self._queue)
+        except IndexError:
+            raise EventLifecycleError("no more events") from None
 
     def step(self) -> None:
         """Process the next event, advancing the clock to its time."""
@@ -292,12 +217,12 @@ class Environment:
     def _run_sanitized(self) -> object:
         """The :meth:`run` loop under an installed determinism sanitizer.
 
-        Dispatches entries one at a time through :meth:`_pop_entry` —
-        the executable-specification order, identical to the batched
-        loops — handing each ``(time, priority, eid, event)`` tuple to
-        the probe *before* its callbacks run.  Opt-in and slower than
-        the batched path (see ``benchmarks/test_sanitizer_overhead``);
-        results are bit-identical with the sanitizer on or off.
+        Dispatches entries through :meth:`_pop_entry` — the same order
+        as the plain loops — handing each ``(time, priority, eid,
+        event)`` tuple to the probe *before* its callbacks run.  Opt-in
+        and slower than the plain path (see
+        ``benchmarks/test_sanitizer_overhead``); results are
+        bit-identical with the sanitizer on or off.
         """
         probe = self.sanitizer
         assert probe is not None
@@ -353,246 +278,13 @@ class Environment:
         if self.sanitizer is not None:
             return self._run_sanitized()
 
-        # The loop below drains the calendar one bucket at a time: sort
-        # the batch once, then dispatch every event in it before asking
-        # the queue for more.  A single-entry bucket (the common case in
-        # sparse regions of the timeline) takes a fast path with no
-        # open-bucket routing at all: the bucket is already off the
-        # calendar, so callbacks scheduling into the same millisecond
-        # simply create a fresh bucket that the next iteration pops —
-        # their eids are larger and their times >= now, so the global
-        # order is preserved.  For multi-entry buckets, events scheduled
-        # into the open bucket by callbacks land in `incoming` and are
-        # merged in — new entries always carry a later eid and a time >=
-        # the event being dispatched, so (remaining + incoming)
-        # re-sorted continues the exact global (time, priority, eid)
-        # order.  The telemetry variant is a separate loop so the
-        # disabled path pays nothing per event — the observer check
-        # happens once, here.
-        buckets = self._cal_buckets
-        keys = self._cal_keys
-        incoming = self._cal_open
-        batch: list[Entry] = []
-        index = 0
-        observer = self.telemetry
-        try:
-            if observer is not None:
-                on_event = observer.on_event  # bind once, not per event
-                while True:
-                    while keys:
-                        key = heappop(keys)
-                        loaded = buckets.pop(key, None)
-                        if loaded is not None:
-                            break
-                    else:
-                        if not self._cal_far:
-                            return None
-                        loaded = [self._pop_entry()]
-                        self._cal_size += 1  # counted out again below
-                    n = len(loaded)
-                    self._cal_size -= n
-                    if n == 1:
-                        # `batch`/`index` are deliberately left stale:
-                        # once a batch completes, batch[index:] is empty,
-                        # so the finally-restore is a no-op — and this
-                        # event is consumed before anything can raise.
-                        self._now, _, _, event = loaded[0]
-                        on_event(event)
-                        callbacks = event.callbacks
-                        event.callbacks = None  # mark processed
-                        for callback in callbacks:  # type: ignore[union-attr]
-                            callback(event)
-                        if not event._ok and not event._defused:
-                            raise typing.cast(BaseException, event._value)
-                        continue
-                    batch = loaded
-                    batch.sort()
-                    self._cal_open_key = key  # route same-ms arrivals
-                    index = 0
-                    while index < n:
-                        self._now, _, _, event = batch[index]
-                        index += 1
-                        on_event(event)
-                        callbacks = event.callbacks
-                        event.callbacks = None  # mark processed
-                        for callback in callbacks:  # type: ignore[union-attr]
-                            callback(event)
-                        if not event._ok and not event._defused:
-                            raise typing.cast(BaseException, event._value)
-                        if incoming:
-                            rest = batch[index:]
-                            rest += incoming
-                            self._cal_size -= len(incoming)
-                            incoming.clear()
-                            rest.sort()
-                            batch = rest
-                            index = 0
-                            n = len(batch)
-                    self._cal_open_key = _NO_BUCKET
-            else:
-                while True:
-                    while keys:
-                        key = heappop(keys)
-                        loaded = buckets.pop(key, None)
-                        if loaded is not None:
-                            break
-                    else:
-                        if not self._cal_far:
-                            return None
-                        loaded = [self._pop_entry()]
-                        self._cal_size += 1  # counted out again below
-                    n = len(loaded)
-                    self._cal_size -= n
-                    if n == 1:
-                        # `batch`/`index` are deliberately left stale:
-                        # once a batch completes, batch[index:] is empty,
-                        # so the finally-restore is a no-op — and this
-                        # event is consumed before anything can raise.
-                        self._now, _, _, event = loaded[0]
-                        callbacks = event.callbacks
-                        event.callbacks = None  # mark processed
-                        for callback in callbacks:  # type: ignore[union-attr]
-                            callback(event)
-                        if not event._ok and not event._defused:
-                            # An unhandled failure: abort the simulation
-                            # loudly.
-                            raise typing.cast(BaseException, event._value)
-                        continue
-                    batch = loaded
-                    batch.sort()
-                    self._cal_open_key = key  # route same-ms arrivals
-                    index = 0
-                    while index < n:
-                        self._now, _, _, event = batch[index]
-                        index += 1
-                        callbacks = event.callbacks
-                        event.callbacks = None  # mark processed
-                        for callback in callbacks:  # type: ignore[union-attr]
-                            callback(event)
-                        if not event._ok and not event._defused:
-                            raise typing.cast(BaseException, event._value)
-                        if incoming:
-                            rest = batch[index:]
-                            rest += incoming
-                            self._cal_size -= len(incoming)
-                            incoming.clear()
-                            rest.sort()
-                            batch = rest
-                            index = 0
-                            n = len(batch)
-                    self._cal_open_key = _NO_BUCKET
-        except StopSimulation as stop:
-            return stop.value
-        finally:
-            # Put any un-dispatched entries back so the queue stays
-            # consistent after StopSimulation or an unhandled failure.
-            rest = batch[index:]
-            self._cal_size += len(rest)
-            if incoming:
-                rest += incoming  # already counted in _cal_size
-                incoming.clear()
-            if rest:
-                okey = typing.cast(int, self._cal_open_key)
-                assert okey == okey, "entries to restore, no open bucket"
-                bucket = self._cal_buckets.get(okey)
-                if bucket is None:
-                    self._cal_buckets[okey] = rest
-                    heappush(self._cal_keys, okey)
-                else:  # pragma: no cover - defensive
-                    bucket += rest
-            self._cal_open_key = _NO_BUCKET
-
-
-class HeapEnvironment(Environment):
-    """The pre-calendar ``heapq`` event queue, kept as the reference.
-
-    This is the former production implementation, verbatim: one binary
-    heap of ``(time, priority, eid, event)`` tuples, one pop per event.
-    The equivalence property tests and the interleaved A/B kernel
-    benchmarks run workloads against both this and the calendar queue
-    and require bit-identical pop sequences, ledgers, and figures.
-    It is *not* a supported extension point — production code must use
-    :class:`Environment`.
-    """
-
-    def __init__(self, initial_time: float = 0.0) -> None:
-        super().__init__(initial_time)
-        self._queue: list[Entry] = []
-
-    def __repr__(self) -> str:
-        return f"<HeapEnvironment t={self._now} queued={len(self._queue)}>"
-
-    def schedule(self, event: Event, delay: float = 0.0,
-                 priority: int = Event_NORMAL) -> None:
-        """Place a triggered event on the queue ``delay`` units from now."""
-        if delay < 0:
-            raise SchedulingError(f"cannot schedule {event!r} in the past "
-                                  f"(delay={delay})")
-        heappush(self._queue,
-                 (self._now + delay, priority, next(self._eid), event))
-
-    def timeout(self, delay: float, value: object = None) -> Timeout:
-        """An event triggering ``delay`` time units from now."""
-        return Timeout(self, delay, value)
-
-    def peek(self) -> float:
-        """Time of the next scheduled event, or ``inf`` if none."""
-        return self._queue[0][0] if self._queue else Infinity
-
-    def _pop_entry(self) -> Entry:
-        """Remove and return the single next entry in queue order."""
-        try:
-            return heappop(self._queue)
-        except IndexError:
-            raise EventLifecycleError("no more events") from None
-
-    def step(self) -> None:
-        """Process the next event, advancing the clock to its time."""
-        try:
-            self._now, _, _, event = heappop(self._queue)
-        except IndexError:
-            raise EventLifecycleError("no more events") from None
-
-        callbacks = event.callbacks
-        event.callbacks = None  # mark processed
-        assert callbacks is not None
-        for callback in callbacks:
-            callback(event)
-
-        if not event._ok and not event._defused:
-            exc = typing.cast(BaseException, event._value)
-            raise exc
-
-    def run(self, until: float | Event | None = None) -> object:
-        """Run until ``until`` (a time, an event, or queue exhaustion)."""
-        stop_event: Event | None = None
-        if until is not None:
-            if isinstance(until, Event):
-                stop_event = until
-            else:
-                at = float(until)
-                if at < self._now:
-                    raise SchedulingError(
-                        f"until={at} lies in the past (now={self._now})")
-                stop_event = Event(self)
-                stop_event._ok = True
-                stop_event._value = None
-                self.schedule(stop_event, delay=at - self._now,
-                              priority=Event_NORMAL + 1)
-            if stop_event.callbacks is None:
-                if not stop_event._ok and not stop_event._defused:
-                    raise typing.cast(BaseException, stop_event._value)
-                return stop_event.value
-            stop_event.callbacks.append(_stop_simulation)
-
-        if self.sanitizer is not None:
-            return self._run_sanitized()
-
+        # The telemetry variant is a separate loop so the disabled path
+        # pays nothing per event — the observer check happens once, here.
         queue = self._queue
         observer = self.telemetry
         try:
             if observer is not None:
-                on_event = observer.on_event
+                on_event = observer.on_event  # bind once, not per event
                 while queue:
                     self._now, _, _, event = heappop(queue)
                     on_event(event)
@@ -610,10 +302,11 @@ class HeapEnvironment(Environment):
                     for callback in callbacks:  # type: ignore[union-attr]
                         callback(event)
                     if not event._ok and not event._defused:
+                        # An unhandled failure: abort the simulation
+                        # loudly.
                         raise typing.cast(BaseException, event._value)
         except StopSimulation as stop:
             return stop.value
-
         return None
 
 

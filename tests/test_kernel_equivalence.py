@@ -1,15 +1,16 @@
-"""Equivalence of the calendar-queue kernel and its heapq specification.
+"""Equivalence of the production kernel and its plain-heap specification.
 
-:class:`~repro.sim.environment.Environment` (calendar queue) and
-:class:`~repro.sim.environment.HeapEnvironment` (the previous binary-heap
-kernel, kept verbatim as the executable specification) implement one
+:class:`~repro.sim.environment.Environment` (binary heap, inlined
+``timeout``, NaN refusal) and
+:class:`tests.kernel_reference.HeapEnvironment` (the same queue written
+the obvious way, kept as the executable specification) implement one
 contract: events dispatch in exact ``(time, priority, eid)`` order.  The
 property test here drives both through identical random operation
 programs — timeouts with same-millisecond ties, explicit schedules at
-every priority, chained timeouts fired *from callbacks* (which land in
-the calendar's open bucket mid-drain), single steps, partial
-``run(until=...)`` horizons (which exercise the un-dispatched-batch
-restore path), and infinite delays (the far-future overflow list) — and
+every priority, chained timeouts fired *from callbacks* (which land at
+or just after the time being dispatched), single steps, partial
+``run(until=...)`` horizons (which leave entries pending across runs),
+and infinite delays (which must sort after every finite entry) — and
 requires the observed dispatch logs to match element for element.
 
 The ledger check then does the same at full-stack fidelity: one fig5
@@ -26,18 +27,17 @@ import repro.experiments.runner as runner_mod
 from repro.experiments.figures import _policy_run_task
 from repro.qc.generator import QCFactory
 from repro.sim import Environment
-from repro.sim.environment import HeapEnvironment
 from repro.sim.errors import EventLifecycleError
 from repro.sim.events import Event
 from repro.workload.synthetic import StockWorkloadGenerator, WorkloadSpec
+from tests.kernel_reference import HeapEnvironment
 
-#: Delays chosen to collide in calendar buckets (same ``int(t)``), to
-#: straddle bucket edges, to skip far ahead, and to hit the non-finite
-#: overflow path.
+#: Delays chosen to tie within a millisecond, to straddle millisecond
+#: edges, to skip far ahead, and to sit at ``+inf``.
 DELAYS = st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 3.0,
                           999.5, float("inf")])
-#: Delay of a timeout scheduled *from the firing callback* (lands in or
-#: after the bucket being drained), or None for no chaining.
+#: Delay of a timeout scheduled *from the firing callback* (lands at or
+#: after the time being dispatched), or None for no chaining.
 CHAIN_DELAYS = st.one_of(st.none(), st.sampled_from([0.0, 0.25, 1.0]))
 #: Event_URGENT, Event_NORMAL, and the until-stop priority.
 PRIORITIES = st.sampled_from([0, 1, 2])
@@ -94,10 +94,10 @@ def _execute(env_cls, operations):
             except EventLifecycleError:
                 pass  # empty queue: legal no-op in the program
         elif env.now != float("inf"):  # "until"
-            # (Once an inf-timeout has been stepped, now + dt is NaN —
-            # the calendar kernel rejects that loudly where the old
-            # heap silently accepted a NaN-timed entry; neither is a
-            # dispatch order to compare.)
+            # (Once an inf-timeout has been stepped, the stop event's
+            # delay inf - inf is NaN — the production kernel rejects
+            # that loudly where the reference silently accepts a
+            # NaN-timed entry; neither is a dispatch order to compare.)
             env.run(until=env.now + operation[1])
     env.run()
     return log

@@ -25,11 +25,11 @@ from repro.experiments.sanitize import (PLANTED_SET_ITER_LINE, Scenario,
 from repro.qc.generator import QCFactory
 from repro.scheduling import make_scheduler
 from repro.sim import Environment
-from repro.sim.environment import HeapEnvironment
 from repro.sim.process import Event_NORMAL, Event_URGENT
 from repro.sim.sanitizer import (Sanitizer, SanitizerError,
                                  _PermutedCounter)
 from repro.workload.synthetic import StockWorkloadGenerator, WorkloadSpec
+from tests.kernel_reference import HeapEnvironment
 
 
 def _tiny_trace(duration_ms=2_000.0, seed=3):

@@ -33,6 +33,7 @@ from repro.serve import (DEADLINE_FACTOR, OUTCOMES, GatewayConfig,
                          RetryPolicy, build_schedule, drive, qc_from_wire,
                          qc_to_wire, run_cell, serve_tcp, summarize)
 from repro.serve.cli import build_loadgen_parser, build_serve_parser
+from repro.serve.protocol import decode_request, submit_from_wire
 from repro.sim import Environment
 from repro.sim.rng import StreamRegistry
 
@@ -490,6 +491,90 @@ class TestProtocol:
         assert replies[2]["outcome"] == "completed"
         assert replies[2]["values"] == {"S0001": 7.5}
         assert replies[None]["outcome"] == "error"
+
+    def test_malformed_request_spares_the_connection_and_its_peers(self):
+        """A request the gateway's objects would refuse (``exec_ms: 0``)
+        is an ``error`` reply line, not a dead handler: the query in
+        flight on the same connection still gets its answer."""
+        async def scenario():
+            gateway = QCGateway(make_scheduler("FIFO"))
+            await gateway.start()
+            server = await serve_tcp(gateway, "127.0.0.1", 0)
+            port = server.sockets[0].getsockname()[1]
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", port)
+            writer.write(json.dumps(
+                {"op": "query", "id": 1, "items": ["S0001"],
+                 "exec_ms": 50.0,
+                 "qc": qc_to_wire(loose_qc())}).encode() + b"\n")
+            writer.write(json.dumps(
+                {"op": "update", "id": 2, "item": "S0001",
+                 "value": 1.0, "exec_ms": 0}).encode() + b"\n")
+            await writer.drain()
+            lines = [await asyncio.wait_for(reader.readline(), 5.0)
+                     for __ in range(2)]
+            waiters_left = len(gateway._waiters)
+            writer.close()
+            await writer.wait_closed()
+            server.close()
+            await server.wait_closed()
+            await gateway.stop()
+            return lines, waiters_left
+
+        lines, waiters_left = asyncio.run(scenario())
+        assert all(lines), "connection closed before both replies"
+        replies = {reply["id"]: reply for reply in map(json.loads, lines)}
+        assert replies[2]["outcome"] == "error"
+        assert "exec_ms" in replies[2]["error"]
+        assert replies[1]["outcome"] == "completed"
+        assert waiters_left == 0
+
+    @pytest.mark.parametrize("patch", [
+        {"exec_ms": 0}, {"exec_ms": -1.0}, {"exec_ms": math.nan},
+        {"exec_ms": math.inf}, {"items": []},
+        {"qc": None}, {"qc": [30.0, 75.0]},
+        {"qc": {"rt_max": math.nan}}, {"qc": {"uu_max": math.nan}},
+        {"qc": {"qos_max": math.nan}}, {"qc": {"qod_max": math.inf}},
+        {"qc": {"qos_max": -30.0}}, {"qc": {"rt_max": -1.0}},
+        {"qc": {"lifetime_ms": 0.0}}, {"qc": {"lifetime_ms": math.nan}},
+    ], ids=repr)
+    def test_bad_query_numbers_never_reach_the_gateway(self, patch):
+        request = {"op": "query", "id": 9, "items": ["S0001"],
+                   "exec_ms": 2.0, "qc": qc_to_wire(tight_qc())}
+        if isinstance(patch.get("qc"), dict):
+            request["qc"] = {**request["qc"], **patch["qc"]}
+        else:
+            request.update(patch)
+        self._assert_refused(request)
+
+    @pytest.mark.parametrize("patch", [
+        {"exec_ms": 0}, {"exec_ms": -2.0}, {"exec_ms": math.nan},
+        {"exec_ms": math.inf}, {"value": math.nan},
+        {"value": -math.inf},
+    ], ids=repr)
+    def test_bad_update_numbers_never_reach_the_gateway(self, patch):
+        self._assert_refused({"op": "update", "id": 9, "item": "S0001",
+                              "value": 1.0, "exec_ms": 1.0, **patch})
+
+    @staticmethod
+    def _assert_refused(request):
+        # Through the codec, as the TCP front sees it: ``json`` both
+        # writes and parses NaN / Infinity.
+        line = json.dumps(request).encode()
+
+        async def scenario(gateway):
+            before = gateway.ledger.total_max
+            with pytest.raises(ProtocolError):
+                submit_from_wire(gateway, decode_request(line))
+            return (before, gateway.ledger.total_max,
+                    dict(gateway._waiters),
+                    gateway.ledger.counters.as_dict())
+
+        before, after, waiters, counters = gateway_scenario(
+            scenario, scheduler=make_scheduler("QUTS"))
+        assert after == before == 0.0
+        assert waiters == {}
+        assert not any(counters.values())
 
 
 # ----------------------------------------------------------------------
