@@ -43,7 +43,7 @@ from repro.db.database import Database
 from repro.db.server import DatabaseServer, ServerConfig
 from repro.db.transactions import Query, Transaction, TxnStatus, Update
 from repro.db.wal import DurabilityConfig, WalRecord, WriteAheadLog
-from repro.metrics.profit import ProfitLedger
+from repro.metrics.profit import ProfitLedger, ProfitRollup
 from repro.scheduling.base import Scheduler
 from repro.sim import Environment
 from repro.sim.invariants import InvariantMonitor
@@ -327,27 +327,41 @@ class ReplicatedPortal:
         failover retry loop, hoping for a recovery within its lifetime.
         Returns ``-1`` in that case.
         """
+        return self._route(query, priced=True)
+
+    def _route(self, query: Query, priced: bool) -> int:
+        """The routing body of :meth:`submit_query` (``priced``) and
+        :meth:`adopt_query`; neither public name calls the other."""
         try:
             index = self.router.choose(query, self.replicas)
         except NoHealthyReplica:
-            self._observe("query_submitted", query)
-            self.replicas[0].ledger.on_query_submitted(query, self.env.now)
+            if priced:
+                self._observe("query_submitted", query)
+                self.replicas[0].ledger.on_query_submitted(query,
+                                                           self.env.now)
             self.fault_counters.increment("queries_stranded_arrival")
             self._start_failover(query, self.replicas[0].ledger,
                                  backup_index=None)
             return -1
         if not 0 <= index < len(self.replicas):
             raise ValueError(f"router chose invalid replica {index}")
-        handle = self.replicas[index]
-        if not handle.up:
+        if not self.replicas[index].up:
             raise ValueError(f"router chose dead replica {index}")
+        self._dispatch(query, index, priced)
+        return index
+
+    def _dispatch(self, query: Query, index: int, priced: bool) -> None:
+        """Submit (``priced``) or adopt ``query`` on replica ``index``."""
+        handle = self.replicas[index]
         self.routed_counts[index] += 1
         if handle.breaker is not None:
             handle.breaker.record_routed(self.env.now)
-        handle.server.submit_query(query)
+        if priced:
+            handle.server.submit_query(query)
+        else:
+            handle.server.adopt_query(query)
         if query.alive:  # not rejected by admission control
             self._remember_backup(query, index)
-        return index
 
     def broadcast_update(self, arrival_time: float, exec_ms: float,
                          item: str, value: float) -> None:
@@ -834,16 +848,10 @@ class ReplicatedPortal:
         if query.remaining != query.exec_time:
             query.reset_for_restart()  # partial work died with the crash
         del self._retrying[query]
-        self.routed_counts[index] += 1
         self.fault_counters.increment("query_retries")
         if self._probe is not None:
             self._probe.adopt(self.env.now, query, index)
-        handle = self.replicas[index]
-        if handle.breaker is not None:
-            handle.breaker.record_routed(self.env.now)
-        handle.server.adopt_query(query)
-        if query.alive:
-            self._remember_backup(query, index)
+        self._dispatch(query, index, priced=False)
 
     def _lose_query(self, query: Query, ledger: ProfitLedger) -> None:
         del self._retrying[query]
@@ -923,25 +931,7 @@ class ReplicatedPortal:
         only the ledger pricing differs.  Returns the serving replica's
         index, or ``-1`` when the query entered the failover loop.
         """
-        try:
-            index = self.router.choose(query, self.replicas)
-        except NoHealthyReplica:
-            self.fault_counters.increment("queries_stranded_arrival")
-            self._start_failover(query, self.replicas[0].ledger,
-                                 backup_index=None)
-            return -1
-        if not 0 <= index < len(self.replicas):
-            raise ValueError(f"router chose invalid replica {index}")
-        handle = self.replicas[index]
-        if not handle.up:
-            raise ValueError(f"router chose dead replica {index}")
-        self.routed_counts[index] += 1
-        if handle.breaker is not None:
-            handle.breaker.record_routed(self.env.now)
-        handle.server.adopt_query(query)
-        if query.alive:
-            self._remember_backup(query, index)
-        return index
+        return self._route(query, priced=False)
 
     def staleness_age(self, key: str) -> float:
         """Simulated-time age of ``key``'s oldest unapplied update on the
@@ -992,33 +982,13 @@ class ReplicatedPortal:
     # ------------------------------------------------------------------
     # Cluster-level aggregates
     # ------------------------------------------------------------------
-    @property
-    def total_max(self) -> float:
-        return sum(r.ledger.total_max for r in self.replicas)
-
-    @property
-    def total_gained(self) -> float:
-        return sum(r.ledger.total_gained for r in self.replicas)
-
-    @property
-    def total_percent(self) -> float:
-        total_max = self.total_max
-        # Summed in different orders: earning everything can overshoot an ulp.
-        return min(1.0, self.total_gained / total_max) if total_max else 0.0
-
-    @property
-    def qos_percent(self) -> float:
-        total_max = self.total_max
-        if not total_max:
-            return 0.0
-        return sum(r.ledger.qos_gained for r in self.replicas) / total_max
-
-    @property
-    def qod_percent(self) -> float:
-        total_max = self.total_max
-        if not total_max:
-            return 0.0
-        return sum(r.ledger.qod_gained for r in self.replicas) / total_max
+    def rollup(self) -> ProfitRollup:
+        """Every replica's ledger as one run; the counters lead with the
+        portal's own fault counters."""
+        ledgers = [r.ledger for r in self.replicas]
+        return ProfitRollup.of([ledgers], [
+            self.fault_counters.as_dict(),
+            *(ledger.counters.as_dict() for ledger in ledgers)])
 
     @property
     def total_downtime_ms(self) -> float:
@@ -1056,18 +1026,3 @@ class ReplicatedPortal:
             else:
                 cur_end = max(cur_end, end)
         return total + (cur_end - cur_start)
-
-    def mean_response_time(self) -> float:
-        """Committed-query mean over the whole cluster."""
-        count = sum(r.ledger.response_time.count for r in self.replicas)
-        if not count:
-            return 0.0
-        return sum(r.ledger.response_time.total
-                   for r in self.replicas) / count
-
-    def counters(self) -> dict[str, int]:
-        combined: dict[str, int] = dict(self.fault_counters.as_dict())
-        for replica in self.replicas:
-            for key, value in replica.ledger.counters.as_dict().items():
-                combined[key] = combined.get(key, 0) + value
-        return combined

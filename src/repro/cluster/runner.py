@@ -10,14 +10,12 @@ from repro.db.transactions import Query
 from repro.db.wal import DurabilityConfig
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
-from repro.qc.contracts import QualityContract
 from repro.scheduling.base import Scheduler
 from repro.sim import Environment
 from repro.sim.invariants import InvariantMonitor
-from repro.sim.process import ProcessGenerator
 from repro.sim.rng import StreamRegistry
 from repro.telemetry.hooks import KernelProbe, TelemetryKnob
-from repro.workload.traces import (QueryRecord, Trace, UpdateRecord,
+from repro.workload.traces import (QueryRecord, Trace, UpdateRecord, drive,
                                    replay_rows)
 
 from .health import HealthConfig
@@ -36,11 +34,12 @@ class ClusterResult:
         self.duration = duration
         self.n_replicas = len(portal.replicas)
         self.router_name = portal.router.name
-        self.total_percent = portal.total_percent
-        self.qos_percent = portal.qos_percent
-        self.qod_percent = portal.qod_percent
-        self.mean_response_time = portal.mean_response_time()
-        self.counters = portal.counters()
+        rollup = portal.rollup()
+        self.total_percent = rollup.total_percent
+        self.qos_percent = rollup.qos_percent
+        self.qod_percent = rollup.qod_percent
+        self.mean_response_time = rollup.mean_response_time
+        self.counters = rollup.counters
         self.routed_counts = list(portal.routed_counts)
         self.replica_ledgers = [r.ledger for r in portal.replicas]
         #: Robustness telemetry (all zero on fault-free runs).
@@ -79,7 +78,7 @@ class ClusterResult:
         """
         if self.duration <= 0:
             return 1.0
-        return 1.0 - min(1.0, self.downtime_union_ms / self.duration)
+        return max(0.0, 1.0 - self.downtime_union_ms / self.duration)
 
     @property
     def replica_availability(self) -> float:
@@ -88,7 +87,7 @@ class ClusterResult:
         span = self.duration * self.n_replicas
         if span <= 0:
             return 1.0
-        return 1.0 - min(1.0, self.downtime_ms / span)
+        return max(0.0, 1.0 - self.downtime_ms / span)
 
     @property
     def rpo_uu(self) -> int:
@@ -175,40 +174,32 @@ def run_cluster_simulation(n_replicas: int,
                 if fault_plan is not None else None)
     qc_rng = streams.stream("qc.sampler")
 
-    def query_source(env: Environment) -> ProcessGenerator:
-        for arrival_ms, items, exec_ms in replay_rows(QueryRecord,
-                                                      trace.queries):
-            delay = arrival_ms - env.now
-            if delay > 0:
-                yield env.timeout(delay)
-            contract: QualityContract = qc_source.sample(qc_rng, env.now)
-            portal.submit_query(Query(env.now, exec_ms, items, contract))
-            if injector is not None:
-                # Load spike: the flash crowd repeats the trace's demand.
-                for _ in range(injector.extra_query_copies()):
-                    portal.submit_query(Query(env.now, exec_ms, items,
-                                              contract))
+    def submit_query(_arrival_ms: float, items: tuple[str, ...],
+                     exec_ms: float) -> None:
+        contract = qc_source.sample(qc_rng, env.now)
+        portal.submit_query(Query(env.now, exec_ms, items, contract))
+        if injector is not None:
+            # Load spike: the flash crowd repeats the trace's demand.
+            for _ in range(injector.extra_query_copies()):
+                portal.submit_query(Query(env.now, exec_ms, items, contract))
 
-    def update_source(env: Environment) -> ProcessGenerator:
-        for arrival_ms, item, exec_ms, value in replay_rows(
-                UpdateRecord, trace.updates):
-            delay = arrival_ms - env.now
-            if delay > 0:
-                yield env.timeout(delay)
-            if injector is not None:
-                # A stalled source parks here; on resume the backlog
-                # (this and any overdue updates) bursts out at once.
-                yield from injector.update_gate()
-            portal.broadcast_update(env.now, exec_ms, item, value)
+    def broadcast_update(_arrival_ms: float, item: str, exec_ms: float,
+                         value: float) -> None:
+        portal.broadcast_update(env.now, exec_ms, item, value)
 
-    env.process(query_source(env), name="cluster-query-source")
-    env.process(update_source(env), name="cluster-update-source")
+    # A stalled update source parks in the gate; on resume the backlog
+    # (this and any overdue updates) bursts out at once.
+    gate = injector.update_gate if injector is not None else None
+    env.process(drive(env, replay_rows(QueryRecord, trace.queries),
+                      submit_query), name="cluster-query-source")
+    env.process(drive(env, replay_rows(UpdateRecord, trace.updates),
+                      broadcast_update, gate), name="cluster-update-source")
     horizon = trace.duration_ms + max(0.0, drain_ms)
     env.run(until=horizon)
     portal.finalize()
     if isinstance(env.telemetry, KernelProbe):
         env.telemetry.flush()
     if monitor is not None:
-        monitor.verify_complete(portal.total_gained)
+        monitor.verify_complete(portal.rollup().total_gained)
     return ClusterResult(portal, horizon,
                          invariants_checked=monitor is not None)

@@ -505,28 +505,9 @@ class DatabaseServer:
     # ------------------------------------------------------------------
     def _commit(self, txn: Transaction) -> None:
         now = self.env.now
-        txn.finish_time = now
         if isinstance(txn, Query):
-            # Quality metadata is filled in *before* the status flips so
-            # that ``on_terminal`` observers (fired from the status
-            # setter) see the completed record.
             query = txn
-            query.staleness = self._measure_staleness(query, now)
-            qos, qod = query.qc.evaluate(now - query.arrival_time,
-                                         query.staleness)
-            if query.degraded:
-                # Brownout answers skip freshness work: the QoD half of
-                # the contract is forfeited, whatever the staleness
-                # metric says (the QoS half is what brownout saves).
-                qod = 0.0
-            if query.shadow_priced:
-                # The contract only shaped scheduling priority here; the
-                # coordinating layer (e.g. the shard planner's parent
-                # query) prices and credits the real contract.
-                qos = qod = 0.0
-            query.qos_profit = qos
-            query.qod_profit = qod
-            txn.status = TxnStatus.COMMITTED
+            query.commit(now, self._measure_staleness(query, now))
             self.ledger.on_query_committed(query, now)
             self.scheduler.notify_query_finished(query)
             if self.monitor is not None:
@@ -537,7 +518,8 @@ class DatabaseServer:
         else:
             assert isinstance(txn, Update)
             update = txn
-            txn.status = TxnStatus.COMMITTED
+            update.finish_time = now
+            update.status = TxnStatus.COMMITTED
             self.database.apply_update(update, now)
             if self.wal is not None:
                 self.wal.append_applied(update, now)

@@ -229,6 +229,22 @@ class Query(Transaction):
         self.exec_time = scaled
         self.remaining = scaled
 
+    def commit(self, now: float, staleness: float) -> None:
+        """Every tier's commit rule: price the answer, then flip the
+        status (so ``on_terminal`` observers see the priced record).  A
+        degraded answer forfeits QoD; a shadow-priced sub-query earns
+        nothing, its contract being priced by the coordinating layer."""
+        self.finish_time = now
+        self.staleness = staleness
+        qos, qod = self.qc.evaluate(now - self.arrival_time, staleness)
+        if self.degraded:
+            qod = 0.0
+        if self.shadow_priced:
+            qos = qod = 0.0
+        self.qos_profit = qos
+        self.qod_profit = qod
+        self.status = TxnStatus.COMMITTED
+
     def __repr__(self) -> str:
         return (f"<Query #{self.txn_id} items={self.items!r} "
                 f"{self.status.value} rem={self.remaining:.2f}>")

@@ -20,11 +20,10 @@ from repro.qc.contracts import QualityContract
 from repro.scheduling.base import Scheduler
 from repro.scheduling.quts import QUTSScheduler
 from repro.sim import Environment
-from repro.sim.process import ProcessGenerator
 from repro.sim.rng import RandomStream, StreamRegistry
 from repro.sim.sanitizer import Sanitizer
 from repro.telemetry.hooks import KernelProbe, TelemetryKnob
-from repro.workload.traces import (QueryRecord, Trace, UpdateRecord,
+from repro.workload.traces import (QueryRecord, Trace, UpdateRecord, drive,
                                    replay_rows)
 
 #: Anything with ``sample(rng, now) -> QualityContract`` can price queries.
@@ -99,9 +98,20 @@ def run_simulation(scheduler: Scheduler, trace: Trace,
     session = server.telemetry  # resolved knob (explicit or from config)
 
     qc_rng = streams.stream("qc.sampler")
-    env.process(_query_source(env, server, trace, qc_source, qc_rng),
-                name="query-source")
-    env.process(_update_source(env, server, trace), name="update-source")
+
+    def submit_query(_arrival_ms: float, items: tuple[str, ...],
+                     exec_ms: float) -> None:
+        contract = qc_source.sample(qc_rng, env.now)
+        server.submit_query(Query(env.now, exec_ms, items, contract))
+
+    def submit_update(_arrival_ms: float, item: str, exec_ms: float,
+                      value: float) -> None:
+        server.submit_update(Update(env.now, exec_ms, item, value=value))
+
+    env.process(drive(env, replay_rows(QueryRecord, trace.queries),
+                      submit_query), name="query-source")
+    env.process(drive(env, replay_rows(UpdateRecord, trace.updates),
+                      submit_update), name="update-source")
 
     horizon = trace.duration_ms + max(0.0, drain_ms)
     env.run(until=horizon)
@@ -129,26 +139,3 @@ def run_simulation(scheduler: Scheduler, trace: Trace,
         telemetry=session,
     )
 
-
-def _query_source(env: Environment, server: DatabaseServer, trace: Trace,
-                  qc_source: QCSource,
-                  qc_rng: RandomStream) -> ProcessGenerator:
-    """Replays the trace's queries, pricing each with a fresh contract."""
-    for arrival_ms, items, exec_ms in replay_rows(QueryRecord,
-                                                  trace.queries):
-        delay = arrival_ms - env.now
-        if delay > 0:
-            yield env.timeout(delay)
-        contract = qc_source.sample(qc_rng, env.now)
-        server.submit_query(Query(env.now, exec_ms, items, contract))
-
-
-def _update_source(env: Environment, server: DatabaseServer,
-                   trace: Trace) -> ProcessGenerator:
-    """Replays the trace's updates."""
-    for arrival_ms, item, exec_ms, value in replay_rows(UpdateRecord,
-                                                        trace.updates):
-        delay = arrival_ms - env.now
-        if delay > 0:
-            yield env.timeout(delay)
-        server.submit_update(Update(env.now, exec_ms, item, value=value))

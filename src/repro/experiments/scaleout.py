@@ -34,19 +34,17 @@ from repro.db.server import ServerConfig
 from repro.db.transactions import Query
 from repro.db.wal import DurabilityConfig
 from repro.parallel import Task, run_tasks
-from repro.qc.contracts import QualityContract
 from repro.qc.generator import QCFactory
 from repro.scheduling import make_scheduler
 from repro.scheduling.base import Scheduler
 from repro.shard import RebalanceConfig, ShardedPortal
 from repro.sim import Environment
 from repro.sim.invariants import InvariantMonitor
-from repro.sim.process import ProcessGenerator
 from repro.sim.rng import StreamRegistry
 from repro.telemetry.hooks import KernelProbe, TelemetryKnob
 from repro.workload.sharding import split_update_streams
 from repro.workload.synthetic import StockWorkloadGenerator, WorkloadSpec
-from repro.workload.traces import QueryRecord, Trace, replay_rows
+from repro.workload.traces import QueryRecord, Trace, drive, replay_rows
 
 from .config import ExperimentConfig
 from .runner import QCSource
@@ -81,13 +79,14 @@ class ShardedResult:
         self.duration = duration
         self.n_shards = len(portal.shards)
         self.weights = dict(portal.ring.weights)
-        self.total_max = portal.total_max
-        self.total_gained = portal.total_gained
-        self.total_percent = portal.total_percent
-        self.qos_percent = portal.qos_percent
-        self.qod_percent = portal.qod_percent
-        self.mean_response_time = portal.mean_response_time()
-        self.counters = portal.merged_counters()
+        rollup = portal.rollup()
+        self.total_max = rollup.total_max
+        self.total_gained = rollup.total_gained
+        self.total_percent = rollup.total_percent
+        self.qos_percent = rollup.qos_percent
+        self.qod_percent = rollup.qod_percent
+        self.mean_response_time = rollup.mean_response_time
+        self.counters = rollup.counters
         #: Lifetime per-shard routing tallies (balance inspection).
         self.query_counts = list(portal.query_counts)
         self.update_counts = list(portal.update_counts)
@@ -177,25 +176,19 @@ def run_sharded_simulation(n_shards: int,
     qc_rng = streams.stream("qc.sampler")
     update_streams = split_update_streams(trace, portal.owner_of, n_shards)
 
-    def query_source(env: Environment) -> ProcessGenerator:
-        for arrival_ms, items, exec_ms in replay_rows(QueryRecord,
-                                                      trace.queries):
-            delay = arrival_ms - env.now
-            if delay > 0:
-                yield env.timeout(delay)
-            contract: QualityContract = qc_source.sample(qc_rng, env.now)
-            portal.submit_query(Query(env.now, exec_ms, items, contract))
+    def submit_query(_arrival_ms: float, items: tuple[str, ...],
+                     exec_ms: float) -> None:
+        contract = qc_source.sample(qc_rng, env.now)
+        portal.submit_query(Query(env.now, exec_ms, items, contract))
 
-    def update_source(env: Environment, shard: int) -> ProcessGenerator:
-        for arrival_ms, item, exec_ms, value in update_streams[shard]:
-            delay = arrival_ms - env.now
-            if delay > 0:
-                yield env.timeout(delay)
-            portal.route_update(env.now, exec_ms, item, value)
+    def route_update(_arrival_ms: float, item: str, exec_ms: float,
+                     value: float) -> None:
+        portal.route_update(env.now, exec_ms, item, value)
 
-    env.process(query_source(env), name="shard-query-source")
-    for shard in range(n_shards):
-        env.process(update_source(env, shard),
+    env.process(drive(env, replay_rows(QueryRecord, trace.queries),
+                      submit_query), name="shard-query-source")
+    for shard, rows in enumerate(update_streams):
+        env.process(drive(env, rows, route_update),
                     name=f"shard-update-source-{shard}")
     horizon = trace.duration_ms + max(0.0, drain_ms)
     env.run(until=horizon)
@@ -203,7 +196,7 @@ def run_sharded_simulation(n_shards: int,
     if isinstance(env.telemetry, KernelProbe):
         env.telemetry.flush()
     if monitor is not None:
-        monitor.verify_complete(portal.total_gained)
+        monitor.verify_complete(portal.rollup().total_gained)
     return ShardedResult(portal, horizon,
                          invariants_checked=monitor is not None)
 

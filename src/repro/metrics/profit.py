@@ -9,9 +9,15 @@ The ledger tracks, over a simulation run (symbols from Table 1):
 * time series of submitted maxima and gained profit (Figure 9's curves);
 * response-time and staleness tallies (Figure 1);
 * transaction outcome counters.
+
+:class:`ProfitRollup` reads several ledgers (a portal's replicas, a
+sharded portal's shards plus its planner) as one run.
 """
 
 from __future__ import annotations
+
+import dataclasses
+import typing
 
 from repro.db.transactions import Query, Update
 from repro.sim.monitor import CounterSet, Tally, TimeSeries
@@ -150,3 +156,54 @@ class ProfitLedger:
     def qod_max_percent(self) -> float:
         return (self.qod_max_submitted / self.total_max
                 if self.total_max else 0.0)
+
+
+@dataclasses.dataclass(frozen=True)
+class ProfitRollup:
+    """Many ledgers read as one run: the portal tiers' profit views.
+
+    Pinned fingerprints hash these bit for bit, so every sum keeps the
+    association it has always had (``sum``'s left fold): ``total_max``
+    and ``total_gained`` fold each group, then the group sums; the QoS,
+    QoD and response-time sums fold flat over every ledger in group
+    order; counters add up by name in first-seen key order.  A
+    replicated portal is one group (its replicas); a sharded portal is
+    one group per shard, then its planner's ledger as a last group.
+    """
+
+    total_max: float
+    total_gained: float
+    total_percent: float
+    qos_percent: float
+    qod_percent: float
+    mean_response_time: float
+    counters: dict[str, int]
+
+    @classmethod
+    def of(cls, groups: typing.Sequence[typing.Sequence[ProfitLedger]],
+           counters: typing.Iterable[typing.Mapping[str, int]],
+           ) -> "ProfitRollup":
+        ledgers = [ledger for group in groups for ledger in group]
+        total_max = sum(sum(ledger.total_max for ledger in group)
+                        for group in groups)
+        gained = sum(sum(ledger.total_gained for ledger in group)
+                     for group in groups)
+        committed = sum(ledger.response_time.count for ledger in ledgers)
+        merged: dict[str, int] = {}
+        for counts in counters:
+            for name, value in counts.items():
+                merged[name] = merged.get(name, 0) + value
+
+        def share(part: float) -> float:
+            return part / total_max if total_max else 0.0
+
+        return cls(
+            total_max, gained,
+            # Summed in different orders, earning everything can
+            # overshoot its maximum by an ulp.
+            min(1.0, share(gained)),
+            share(sum(ledger.qos_gained for ledger in ledgers)),
+            share(sum(ledger.qod_gained for ledger in ledgers)),
+            (sum(ledger.response_time.total for ledger in ledgers)
+             / committed if committed else 0.0),
+            merged)

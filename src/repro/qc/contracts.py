@@ -42,7 +42,7 @@ class QualityContract:
     def __init__(self, qos: ProfitFunction, qod: ProfitFunction,
                  mode: CompositionMode = CompositionMode.QOS_INDEPENDENT,
                  lifetime: float = DEFAULT_LIFETIME_MS) -> None:
-        if lifetime <= 0:
+        if not lifetime > 0:  # NaN fails too; inf is legal
             raise ValueError(f"lifetime must be positive, got {lifetime}")
         self.qos = qos
         self.qod = qod

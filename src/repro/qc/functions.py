@@ -22,6 +22,7 @@ DESIGN.md):
 
 from __future__ import annotations
 
+import math
 import typing
 
 
@@ -74,9 +75,11 @@ class StepProfit(ProfitFunction):
 
     def __init__(self, amount: float, threshold: float,
                  inclusive: bool = True) -> None:
-        if amount < 0:
-            raise ValueError(f"profit amount must be >= 0, got {amount}")
-        if threshold < 0:
+        # Each test is written so that NaN fails it too.
+        if not 0 <= amount < math.inf:
+            raise ValueError(
+                f"profit amount must be finite and >= 0, got {amount}")
+        if not threshold >= 0:
             raise ValueError(f"threshold must be >= 0, got {threshold}")
         self.amount = amount
         self.threshold = threshold
@@ -105,9 +108,10 @@ class LinearProfit(ProfitFunction):
     (Figure 3)."""
 
     def __init__(self, amount: float, threshold: float) -> None:
-        if amount < 0:
-            raise ValueError(f"profit amount must be >= 0, got {amount}")
-        if threshold <= 0:
+        if not 0 <= amount < math.inf:
+            raise ValueError(
+                f"profit amount must be finite and >= 0, got {amount}")
+        if not threshold > 0:
             raise ValueError(f"threshold must be > 0, got {threshold}")
         self.amount = amount
         self.threshold = threshold
@@ -178,13 +182,14 @@ class PiecewiseLinearProfit(ProfitFunction):
             raise ValueError("need at least two points")
         xs = [p[0] for p in points]
         ys = [p[1] for p in points]
-        if any(b <= a for a, b in zip(xs, xs[1:])):
-            raise ValueError("metric values must be strictly increasing")
+        if not all(a < b for a, b in zip(xs, xs[1:])):
+            raise ValueError("metric values must be strictly increasing "
+                             "(and not NaN)")
+        if not all(0 <= y < math.inf for y in ys):
+            raise ValueError("profit values must be finite and >= 0")
         if any(b > a for a, b in zip(ys, ys[1:])):
             raise ValueError("profit must be non-increasing "
                              "(QC functions are non-increasing)")
-        if any(y < 0 for y in ys):
-            raise ValueError("profit values must be >= 0")
         self.points = [(float(x), float(y)) for x, y in points]
 
     def __repr__(self) -> str:

@@ -9,8 +9,8 @@ are gateway-clock milliseconds).  A single asyncio executor task owns
 the CPU: it pops the scheduler's choice, "runs" it by sleeping its
 service time in bounded slices (cooperative quanta, exactly the DES
 executor's slicing discipline) laid end to end on the modelled CPU's
-own timeline (:meth:`QCGateway._run`), and commits with the same
-QC-evaluation semantics (`qc.evaluate(rt, staleness)`, brownout
+own timeline (:meth:`QCGateway._run`), and commits through the same
+commit rule (:meth:`~repro.db.transactions.Query.commit`: brownout
 forfeits QoD).  Because only that one task touches the database, the
 2PL lock manager is unnecessary on the live path — serialisation is
 structural, not lock-based.
@@ -441,31 +441,22 @@ class QCGateway:
 
     def _commit(self, txn: Transaction) -> None:
         now = self.clock.now
-        txn.finish_time = now
-        txn.status = TxnStatus.COMMITTED
         if txn.is_query:
             query = typing.cast(Query, txn)
-            query.staleness = self.database.query_staleness(query)
-            qos, qod = query.qc.evaluate(query.response_time(),
-                                         query.staleness)
-            if query.degraded:
-                # Brownout answers skip freshness work: the QoD half of
-                # the contract is forfeited, whatever the staleness
-                # metric says (the QoS half is what brownout saves).
-                qod = 0.0
-            query.qos_profit = qos
-            query.qod_profit = qod
+            query.commit(now, self.database.query_staleness(query))
             self.ledger.on_query_committed(query, now)
             self.scheduler.notify_query_finished(query)
             self._resolve(query.txn_id, GatewayReply(
                 "completed", query.txn_id,
                 response_time_ms=query.response_time(),
-                qos_profit=qos, qod_profit=qod,
+                qos_profit=query.qos_profit, qod_profit=query.qod_profit,
                 staleness=query.staleness, degraded=query.degraded,
                 values={key: self.database.read(key)
                         for key in query.items}))
         else:
             update = typing.cast(Update, txn)
+            update.finish_time = now
+            update.status = TxnStatus.COMMITTED
             self.database.apply_update(update, now)
             self.ledger.on_update_applied(update, now)
             self._resolve(update.txn_id, GatewayReply(

@@ -147,20 +147,13 @@ class ShardPlanner:
         failed = len(state.subs) - len(committed)
         parent.finish_time = now
         if committed:
+            # Partial result: answer with what arrived, forfeit the
+            # freshness half — repro.serve's degraded-commit rule.
+            parent.degraded = failed > 0
             # Staleness aggregates over the slices that answered (max —
             # the same aggregation Database applies within one server).
-            parent.staleness = max(
-                typing.cast(float, sub.staleness) for sub in committed)
-            qos, qod = parent.qc.evaluate(parent.response_time(),
-                                          parent.staleness)
-            if failed:
-                # Partial result: answer with what arrived, forfeit the
-                # freshness half — repro.serve's degraded-commit rule.
-                parent.degraded = True
-                qod = 0.0
-            parent.qos_profit = qos
-            parent.qod_profit = qod
-            parent.status = TxnStatus.COMMITTED
+            parent.commit(now, max(
+                typing.cast(float, sub.staleness) for sub in committed))
             self.ledger.on_query_committed(parent, now)
             if self.monitor is not None:
                 self.monitor.record("query_committed",

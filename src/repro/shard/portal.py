@@ -46,6 +46,7 @@ from repro.db.admission import AdmissionPolicy
 from repro.db.server import ServerConfig
 from repro.db.transactions import Query
 from repro.db.wal import DurabilityConfig
+from repro.metrics.profit import ProfitRollup
 from repro.scheduling.base import Scheduler
 from repro.sim.environment import Environment
 from repro.sim.invariants import InvariantMonitor
@@ -386,59 +387,12 @@ class ShardedPortal:
                 f"{len(self.planner.open_fanouts)} fan-out merge(s) "
                 f"unresolved after finalize")
 
-    @property
-    def total_max(self) -> float:
-        return (sum(s.total_max for s in self.shards)
-                + self.planner.ledger.total_max)
-
-    @property
-    def total_gained(self) -> float:
-        return (sum(s.total_gained for s in self.shards)
-                + self.planner.ledger.total_gained)
-
-    @property
-    def total_percent(self) -> float:
-        total_max = self.total_max
-        # Summed in different orders: earning everything can overshoot an ulp.
-        return min(1.0, self.total_gained / total_max) if total_max else 0.0
-
-    @property
-    def qos_percent(self) -> float:
-        total_max = self.total_max
-        if not total_max:
-            return 0.0
-        gained = (sum(r.ledger.qos_gained
-                      for s in self.shards for r in s.replicas)
-                  + self.planner.ledger.qos_gained)
-        return gained / total_max
-
-    @property
-    def qod_percent(self) -> float:
-        total_max = self.total_max
-        if not total_max:
-            return 0.0
-        gained = (sum(r.ledger.qod_gained
-                      for s in self.shards for r in s.replicas)
-                  + self.planner.ledger.qod_gained)
-        return gained / total_max
-
-    def mean_response_time(self) -> float:
-        """Committed-query mean over every shard plus fan-out parents."""
-        tallies = [r.ledger.response_time
-                   for s in self.shards for r in s.replicas]
-        tallies.append(self.planner.ledger.response_time)
-        count = sum(t.count for t in tallies)
-        if not count:
-            return 0.0
-        return sum(t.total for t in tallies) / count
-
-    def merged_counters(self) -> dict[str, int]:
-        """Portal + planner + every shard's counters, summed by name."""
-        combined: dict[str, int] = dict(self.counters.as_dict())
-        for name, value in \
-                self.planner.ledger.counters.as_dict().items():
-            combined[name] = combined.get(name, 0) + value
-        for shard in self.shards:
-            for name, value in shard.counters().items():
-                combined[name] = combined.get(name, 0) + value
-        return combined
+    def rollup(self) -> ProfitRollup:
+        """Every shard's replica ledgers, then the planner's, as one run;
+        the counters lead with the portal's and the planner's own."""
+        planner = self.planner.ledger
+        return ProfitRollup.of(
+            [*([r.ledger for r in s.replicas] for s in self.shards),
+             [planner]],
+            [self.counters.as_dict(), planner.counters.as_dict(),
+             *(shard.rollup().counters for shard in self.shards)])

@@ -7,7 +7,7 @@ from .stocks import PriceWalk, StockUniverse, ticker_symbol
 from .synthetic import (PAPER_DURATION_MS, PAPER_N_QUERIES, PAPER_N_STOCKS,
                         PAPER_N_UPDATES, StockWorkloadGenerator, WorkloadSpec,
                         paper_trace)
-from .traces import (QueryRecord, RecordColumns, Trace, UpdateRecord,
+from .traces import (QueryRecord, RecordColumns, Trace, UpdateRecord, drive,
                      replay_rows)
 
 __all__ = [
@@ -26,6 +26,7 @@ __all__ = [
     "UpdateRecord",
     "WorkloadSpec",
     "WorkloadSummary",
+    "drive",
     "paper_trace",
     "per_stock_counts",
     "query_rate_series",

@@ -10,8 +10,8 @@ A paper-scale trace is 579k transactions, so each stream is stored as
 packed columns (:class:`RecordColumns`), validated and verified
 time-ordered once, at construction.  ``trace.queries`` / ``trace.updates``
 are read-only sequence views that build :class:`QueryRecord` /
-:class:`UpdateRecord` values on demand; the replay pumps take bare rows
-through :func:`replay_rows` and build none.
+:class:`UpdateRecord` values on demand; the arrival pump (:func:`drive`)
+takes bare rows through :func:`replay_rows` and builds none.
 
 Traces serialise to a simple two-file CSV format so generated workloads can
 be inspected, versioned, and re-used across runs.
@@ -30,6 +30,10 @@ import pathlib
 import sys
 import typing
 from array import array
+
+if typing.TYPE_CHECKING:  # pragma: no cover
+    from repro.sim.environment import Environment
+    from repro.sim.process import ProcessGenerator
 
 Column = typing.MutableSequence[typing.Any]
 Row = tuple[typing.Any, ...]
@@ -210,7 +214,7 @@ class RecordColumns(collections.abc.Sequence[Record]):
 
 def replay_rows(record: type[Record],
                 records: typing.Sequence[Record]) -> typing.Iterator[Row]:
-    """The row iterator every replay pump shares.
+    """The row iterator every runner hands the arrival pump.
 
     A trace's own view comes straight off its columns (``zip``: no
     per-arrival object).  Any other sequence of records is packed first,
@@ -219,6 +223,23 @@ def replay_rows(record: type[Record],
     would corrupt every rate-derived statistic).
     """
     return RecordColumns.of(record, records).rows()
+
+
+def drive(env: "Environment", rows: typing.Iterable[Row],
+          sink: typing.Callable[..., None],
+          gate: typing.Callable[[], "ProcessGenerator"] | None = None,
+          ) -> "ProcessGenerator":
+    """The one arrival pump: per time-ordered row, wait until its arrival
+    (overdue rows go at once), then out ``gate()`` if given (a stalled
+    source parks there), then call ``sink(*row)`` — which stamps what it
+    builds with ``env.now``, the delivery instant."""
+    for row in rows:
+        delay = row[0] - env.now
+        if delay > 0:
+            yield env.timeout(delay)
+        if gate is not None:
+            yield from gate()
+        sink(*row)
 
 
 class Trace:

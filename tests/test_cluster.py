@@ -115,7 +115,7 @@ class TestPortal:
         env.run(until=100.0)
         for replica in portal.replicas:
             assert replica.server.database.read("IBM") == 42.0
-        assert portal.counters()["updates_applied"] == 3
+        assert portal.rollup().counters["updates_applied"] == 3
 
     def test_query_served_by_one_replica(self):
         env = Environment()
@@ -127,7 +127,7 @@ class TestPortal:
 
         env.process(scenario(env))
         env.run(until=100.0)
-        assert portal.counters()["queries_committed"] == 1
+        assert portal.rollup().counters["queries_committed"] == 1
         assert sum(portal.routed_counts) == 1
 
 

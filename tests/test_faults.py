@@ -236,7 +236,7 @@ class TestCrashRecovery:
         # crashed one replayed it from the missed-update log.
         for replica in portal.replicas:
             assert replica.server.database.read("IBM") == 7.0
-        counters = portal.counters()
+        counters = portal.rollup().counters
         assert counters["updates_resynced"] == 1
         assert counters["replica_crashes"] == 1
         assert counters["replica_recoveries"] == 1
@@ -253,7 +253,7 @@ class TestCrashRecovery:
         env.process(scenario(env))
         env.run(until=5_000.0)
         portal.finalize()
-        counters = portal.counters()
+        counters = portal.rollup().counters
         assert counters["queries_failed_over"] == 1
         assert counters["query_retries"] == 1
         assert counters["queries_committed"] == 1
@@ -276,14 +276,14 @@ class TestCrashRecovery:
         env.process(scenario(env))
         env.run(until=5_000.0)
         portal.finalize()
-        counters = portal.counters()
+        counters = portal.rollup().counters
         assert counters["queries_lost_crash"] == 1
         assert counters.get("queries_committed", 0) == 0
         assert balance_holds(counters)
         assert queries[0].status is TxnStatus.LOST_CRASH
         # Lost, not vanished: the maxima still weigh the percentage down.
-        assert portal.total_max > 0
-        assert portal.total_percent == 0.0
+        assert portal.rollup().total_max > 0
+        assert portal.rollup().total_percent == 0.0
 
     def test_all_down_arrival_strands_then_adopts_on_recovery(self):
         env = Environment()
@@ -298,7 +298,7 @@ class TestCrashRecovery:
         env.process(scenario(env))
         env.run(until=5_000.0)
         portal.finalize()
-        counters = portal.counters()
+        counters = portal.rollup().counters
         assert counters["queries_stranded_arrival"] == 1
         assert counters["query_retries"] == 1
         assert counters["queries_committed"] == 1
@@ -317,7 +317,7 @@ class TestCrashRecovery:
 
         env.process(scenario(env))
         env.run(until=100.0)
-        counters = portal.counters()
+        counters = portal.rollup().counters
         assert counters["replica_crashes"] == 1
         assert counters["replica_recoveries"] == 1
         assert portal.replicas[0].downtime_ms == pytest.approx(10.0)
@@ -477,7 +477,7 @@ class TestHedgedRouter:
         # Far too short for even one 10 s backoff period: commits anyway
         # because the hedge resubmits to the backup immediately.
         env.run(until=200.0)
-        assert portal.counters()["queries_committed"] == 1
+        assert portal.rollup().counters["queries_committed"] == 1
 
 
 # ----------------------------------------------------------------------

@@ -233,7 +233,7 @@ class TestJitteredFailover:
             if wakeup >= recover_at:
                 break
             attempt += 1
-        assert portal.counters()["query_retries"] == 1
+        assert portal.rollup().counters["query_retries"] == 1
         assert query.finish_time == pytest.approx(wakeup + exec_ms)
 
     def test_retry_delays_are_jittered_not_lockstep(self):

@@ -89,7 +89,7 @@ def assert_paced(clock, rows, overshoots):
     overshoot, and the executor slept to exactly those completions."""
     targets = [wake.at_ms for wake in clock.wakes if wake.task == EXECUTOR]
     for (arrival, exec_ms, finish), ideal in zip(rows, lindley(rows)):
-        assert finish >= arrival + exec_ms          # never early
+        assert finish >= arrival + exec_ms - 1e-9   # never early
         assert -1e-9 <= finish - ideal <= max(overshoots) + 1e-9
         assert any(abs(at_ms - ideal) < 1e-9 for at_ms in targets)
 

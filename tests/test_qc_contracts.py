@@ -40,6 +40,16 @@ class TestBuilders:
         with pytest.raises(ValueError):
             QualityContract(ZeroProfit(), ZeroProfit(), lifetime=0.0)
 
+    def test_nan_lifetime_rejected(self):
+        with pytest.raises(ValueError, match="lifetime"):
+            QualityContract(ZeroProfit(), ZeroProfit(),
+                            lifetime=float("nan"))
+
+    def test_infinite_lifetime_stays_legal(self):
+        qc = QualityContract(ZeroProfit(), ZeroProfit(),
+                             lifetime=float("inf"))
+        assert qc.lifetime == float("inf")
+
 
 class TestFigure2Example:
     """Figure 2: qosmax=$1, rtmax=50ms, qodmax=$2, uumax=1."""

@@ -10,6 +10,8 @@ from repro.qc.functions import (LinearProfit, PiecewiseLinearProfit,
 metric_values = st.floats(min_value=0.0, max_value=1e6,
                           allow_nan=False, allow_infinity=False)
 
+NAN, INF = float("nan"), float("inf")
+
 
 class TestStepProfit:
     def test_inclusive_pays_at_threshold(self):
@@ -150,6 +152,43 @@ class TestPiecewiseLinearProfit:
         f = PiecewiseLinearProfit(points)
         lo, hi = min(a, b), max(a, b)
         assert f.profit(lo) >= f.profit(hi) - 1e-9
+
+
+class TestLibraryBoundary:
+    """A NaN or infinite amount would be paid into ``ledger.total_max``
+    and poison every percentage; a NaN threshold compares False both
+    ways.  Each is refused at construction; ``threshold = inf`` (a
+    contract that never expires) stays legal."""
+
+    @pytest.mark.parametrize("amount", [NAN, INF, -INF],
+                             ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("build", [
+        lambda amount: StepProfit(amount, 5.0),
+        lambda amount: LinearProfit(amount, 5.0),
+        lambda amount: PiecewiseLinearProfit([(0.0, amount), (9.0, 0.0)]),
+        lambda amount: PiecewiseLinearProfit([(0.0, 5.0), (9.0, amount)]),
+    ], ids=["step", "linear", "piecewise-first", "piecewise-last"])
+    def test_non_finite_amount_rejected(self, build, amount):
+        with pytest.raises(ValueError, match="finite"):
+            build(amount)
+
+    @pytest.mark.parametrize("build", [
+        lambda: StepProfit(5.0, NAN),
+        lambda: StepProfit(5.0, NAN, inclusive=False),
+        lambda: LinearProfit(5.0, NAN),
+        lambda: PiecewiseLinearProfit([(NAN, 5.0), (9.0, 0.0)]),
+        lambda: PiecewiseLinearProfit([(0.0, 5.0), (NAN, 0.0)]),
+    ], ids=["step", "step-exclusive", "linear", "piecewise-first",
+            "piecewise-last"])
+    def test_nan_threshold_rejected(self, build):
+        with pytest.raises(ValueError):
+            build()
+
+    def test_infinite_threshold_stays_legal(self):
+        assert StepProfit(5.0, INF).profit(1e300) == 5.0
+        assert LinearProfit(5.0, INF).profit(1e300) == 5.0
+        assert PiecewiseLinearProfit([(0.0, 5.0), (INF, 0.0)]).profit(
+            1e300) == 5.0
 
 
 class TestZeroProfit:

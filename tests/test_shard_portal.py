@@ -384,7 +384,7 @@ class TestShardedPortal:
         assert not query.degraded
         assert query.total_profit > 0.0
         assert portal.planner.fanouts_resolved == 1
-        assert portal.merged_counters()["queries_fanned_out"] == 1
+        assert portal.rollup().counters["queries_fanned_out"] == 1
 
     def test_forced_migration_freezes_and_replays_updates(self):
         """Drive a migration by hand and interleave updates for the
@@ -611,7 +611,8 @@ class TestProfitShare:
         ledger = portal.planner.ledger
         ledger.qos_max_submitted = 30.0
         ledger.qos_gained = math.nextafter(30.0, math.inf)
-        assert portal.total_gained > portal.total_max
-        assert portal.total_percent == 1.0
+        rollup = portal.rollup()
+        assert rollup.total_gained > rollup.total_max
+        assert rollup.total_percent == 1.0
         ledger.qos_gained = 15.0
-        assert portal.total_percent == 0.5
+        assert portal.rollup().total_percent == 0.5
