@@ -10,10 +10,10 @@ Two knobs the paper leaves loose are exercised here:
 
 from conftest import run_once, save_report
 
-from repro.experiments.figures import FIG9_PHASE_MS, FIG9_RATIOS
+from repro.experiments.figures import fig9_contracts
 from repro.experiments.report import format_table
 from repro.experiments.runner import run_simulation
-from repro.qc.generator import PhasedQCFactory, QCFactory
+from repro.qc.generator import QCFactory
 from repro.scheduling import QUTSScheduler, make_scheduler
 
 ALPHAS = (0.05, 0.1, 0.3, 0.5, 0.9)
@@ -21,9 +21,7 @@ LIFETIMES_MS = (60_000.0, 150_000.0, 300_000.0)
 
 
 def _alpha_sweep(config, trace):
-    n_phases = max(1, round(trace.duration_ms / FIG9_PHASE_MS))
-    ratios = [FIG9_RATIOS[i % len(FIG9_RATIOS)] for i in range(n_phases)]
-    factory = PhasedQCFactory.flip_flop(FIG9_PHASE_MS, ratios)
+    factory = fig9_contracts(trace.duration_ms)
     rows = []
     for alpha in ALPHAS:
         result = run_simulation(QUTSScheduler(alpha=alpha), trace,

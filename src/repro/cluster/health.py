@@ -75,22 +75,26 @@ class HealthConfig:
         if not 0.0 < self.rt_alpha <= 1.0:
             raise ValueError(f"rt_alpha must be in (0, 1], got "
                              f"{self.rt_alpha}")
-        if self.clear_suspicion >= self.trip_suspicion:
+        if not self.clear_suspicion < self.trip_suspicion:
             raise ValueError(
                 f"clear_suspicion ({self.clear_suspicion}) must be below "
                 f"trip_suspicion ({self.trip_suspicion})")
-        if self.open_ms <= 0 or self.max_open_ms < self.open_ms:
+        if not 0 < self.open_ms <= self.max_open_ms:
             raise ValueError(
                 f"need 0 < open_ms <= max_open_ms, got "
                 f"{self.open_ms} / {self.max_open_ms}")
-        if self.probe_backoff < 1.0:
+        if not self.probe_backoff >= 1.0:
             raise ValueError(f"probe_backoff must be >= 1, got "
                              f"{self.probe_backoff}")
         if not 0.0 <= self.jitter < 1.0:
             raise ValueError(f"jitter must be in [0, 1), got {self.jitter}")
-        if self.gap_halflife_ms <= 0:
+        if not self.gap_halflife_ms > 0:
             raise ValueError(f"gap_halflife_ms must be positive, got "
                              f"{self.gap_halflife_ms}")
+        if not (self.gap_points >= 0 and self.failure_points >= 0):
+            raise ValueError(
+                f"gap_points / failure_points must be >= 0, got "
+                f"{self.gap_points} / {self.failure_points}")
 
 
 class FailureDetector:

@@ -933,23 +933,6 @@ class ReplicatedPortal:
         """
         return self._route(query, priced=False)
 
-    def staleness_age(self, key: str) -> float:
-        """Simulated-time age of ``key``'s oldest unapplied update on the
-        *freshest* live replica (the copy a router would want to serve
-        from).  0.0 when some live replica is fully caught up on ``key``
-        — or when every replica is down (routing, not freshness, is the
-        problem then).
-        """
-        now = self.env.now
-        best: float | None = None
-        for replica in self.replicas:
-            if not replica.up:
-                continue
-            age = replica.server.database.staleness_age(key, now)
-            if best is None or age < best:
-                best = age
-        return best if best is not None else 0.0
-
     def export_items(self, keys: typing.Iterable[str]) -> dict[str, tuple]:
         """Partial state snapshot for ``keys`` from the first live
         replica (the migration donor)."""

@@ -73,21 +73,11 @@ class ClusterResult:
         down over the same window cost the window once, not twice
         (summing per-replica downtime over-counts exactly when outages
         overlap — a portal-wide crash would otherwise look ``n`` times
-        worse than it is).  Per-replica utilisation remains available as
-        :attr:`replica_availability`.
+        worse than it is).
         """
         if self.duration <= 0:
             return 1.0
         return max(0.0, 1.0 - self.downtime_union_ms / self.duration)
-
-    @property
-    def replica_availability(self) -> float:
-        """Fraction of replica-time (capacity) that was up — the old
-        sum-based accounting, still the right lens for capacity loss."""
-        span = self.duration * self.n_replicas
-        if span <= 0:
-            return 1.0
-        return max(0.0, 1.0 - self.downtime_ms / span)
 
     @property
     def rpo_uu(self) -> int:

@@ -231,11 +231,6 @@ class BrownoutAdmission(AdmissionPolicy):
         #: Mode flips, for telemetry: (entered, left).
         self.mode_changes = [0, 0]
 
-    @property
-    def is_degrading(self) -> bool:
-        """True while the server serves brownout answers."""
-        return self._degrading
-
     def admit(self, query: Query, server: "DatabaseServer") -> bool:
         backlog = server.scheduler.pending_queries()
         if not self._degrading and backlog >= self.high_watermark:

@@ -234,15 +234,6 @@ class Database:
             return 0.0
         return item.time_differential(now)
 
-    def max_staleness_age(self, now: float) -> float:
-        """The oldest unapplied update's age across the whole store."""
-        oldest = 0.0
-        for item in self._items.values():
-            age = item.time_differential(now)
-            if age > oldest:
-                oldest = age
-        return oldest
-
     def query_staleness(self, query: Query) -> float:
         """Aggregate ``#uu`` over the query's read set (paper default: max).
 

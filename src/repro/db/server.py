@@ -30,11 +30,9 @@ from repro.scheduling.base import Scheduler
 from repro.sim import Environment, Interrupt
 from repro.sim.process import ProcessGenerator
 from repro.sim.invariants import InvariantMonitor
-from repro.sim.monitor import TimeSeries
 from repro.sim.rng import StreamRegistry
 from repro.telemetry.events import CAT_KERNEL
 from repro.telemetry.hooks import TelemetryKnob, TelemetrySession
-from repro.telemetry.tracer import TelemetryConfig
 
 from .admission import AdmissionPolicy
 from .database import Database
@@ -73,22 +71,12 @@ class ServerConfig:
     #: differential in ms ("td"), or the value distance ("vd").  The QC's
     #: ``uumax`` threshold is interpreted in the chosen metric's unit.
     qod_metric: str = "uu"
-    #: Record queue-length samples every this many ms (0 disables).
-    queue_sample_every: float = 0.0
-    #: Structured tracing/metrics (:mod:`repro.telemetry`).  ``None`` (the
-    #: default) disables instrumentation entirely — the server then pays
-    #: one pointer comparison per hook and nothing in the kernel loop.
-    telemetry: TelemetryConfig | None = None
 
     def __post_init__(self) -> None:
-        if self.class_switch_overhead < 0:
+        if not self.class_switch_overhead >= 0:
             raise ValueError(
                 f"class_switch_overhead must be >= 0, "
                 f"got {self.class_switch_overhead}")
-        if self.queue_sample_every < 0:
-            raise ValueError(
-                f"queue_sample_every must be >= 0, "
-                f"got {self.queue_sample_every}")
         if self.update_preemption not in ("restart", "suspend"):
             raise ValueError(
                 f"update_preemption must be 'restart' or 'suspend', "
@@ -154,11 +142,9 @@ class DatabaseServer:
         scheduler.bind(env, streams)
         self.locks = LockManager(scheduler.has_lock_priority)
 
-        #: Telemetry session (explicit ``telemetry=`` wins; otherwise the
-        #: config's knob).  Shared sessions (cluster) pass the session in.
+        #: Telemetry session (None when off).  Shared sessions (cluster)
+        #: pass the session in.
         session = TelemetrySession.from_knob(telemetry)
-        if session is None:
-            session = TelemetrySession.from_knob(self.config.telemetry)
         self.telemetry = session
         self._probe = (session.server_probe(telemetry_scope)
                        if session is not None else None)
@@ -189,10 +175,7 @@ class DatabaseServer:
         #: Transactions blocked on locks, with the holders they wait for.
         self._blocked: dict[Transaction, frozenset[str]] = {}
 
-        self.queue_lengths = TimeSeries("query_queue_length")
         self._proc = env.process(self._executor(), name="db-server")
-        if self.config.queue_sample_every > 0:
-            env.process(self._queue_sampler(), name="queue-sampler")
 
     def __repr__(self) -> str:
         return (f"<DatabaseServer t={self.env.now:.0f} "
@@ -734,13 +717,6 @@ class DatabaseServer:
             else:
                 self.ledger.on_update_unfinished(typing.cast(Update, txn))
                 self._observe("update_unfinished", txn)
-
-    def _queue_sampler(self) -> ProcessGenerator:
-        every = self.config.queue_sample_every
-        while True:
-            yield self.env.timeout(every)
-            self.queue_lengths.record(self.env.now,
-                                      self.scheduler.pending_queries())
 
     @property
     def lock_stats(self) -> dict[str, int]:

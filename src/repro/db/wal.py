@@ -105,7 +105,7 @@ class DurabilityConfig:
     flush_every: int = 8
 
     def __post_init__(self) -> None:
-        if self.checkpoint_interval_ms <= 0:
+        if not self.checkpoint_interval_ms > 0:
             raise ValueError(
                 f"checkpoint_interval_ms must be positive, "
                 f"got {self.checkpoint_interval_ms}")

@@ -9,7 +9,8 @@ from .config import (DEFAULT_SCALE, POLICY_NAMES, SCALES, ExperimentConfig,
 from .faults import (FAULT_MTTFS_MS, FAULT_MTTR_MS, FAULT_POLICIES,
                      FAULT_REPLICAS, fault_sweep, sample_fault_plans)
 from .figures import (FIG10_OMEGAS_MS, FIG10_TAUS_MS, FIG9_PHASE_MS,
-                      FIG9_RATIOS, fig1, fig10, fig5, fig6, fig7, fig8, fig9)
+                      FIG9_RATIOS, fig1, fig10, fig5, fig6, fig7, fig8, fig9,
+                      fig9_contracts)
 from .recovery import (RECOVERY_CHECKPOINTS_MS, RECOVERY_CRASH_AT_MS,
                        RECOVERY_DOWN_MS, RECOVERY_POLICIES,
                        RECOVERY_REPLICAS, recovery_crash_time,
@@ -63,6 +64,7 @@ __all__ = [
     "fig7",
     "fig8",
     "fig9",
+    "fig9_contracts",
     "format_series",
     "format_table",
     "free_qc_source",

@@ -21,7 +21,7 @@ import typing
 
 from repro.db.server import ServerConfig
 from repro.parallel import Task, run_tasks
-from repro.qc.generator import PhasedQCFactory, QCFactory
+from repro.qc.generator import QCFactory
 from repro.scheduling import (InheritanceQUTSScheduler, QUTSScheduler,
                               make_priority, make_qh, make_uh)
 from repro.workload.traces import Trace
@@ -29,7 +29,7 @@ from repro.workload.traces import Trace
 from repro.metrics.results import SimulationResult
 
 from .config import ExperimentConfig
-from .figures import FIG9_PHASE_MS, FIG9_RATIOS
+from .figures import fig9_contracts
 from .runner import QCSource, run_simulation
 
 Row = dict[str, typing.Any]
@@ -38,12 +38,6 @@ Row = dict[str, typing.Any]
 FIXED_RHOS = (0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
 #: Low-level query policies exercised by the modularity ablation.
 QUERY_POLICIES = ("vrd", "fcfs", "edf", "profit-rate")
-
-
-def _flip_flop_factory(trace: Trace) -> PhasedQCFactory:
-    n_phases = max(1, round(trace.duration_ms / FIG9_PHASE_MS))
-    ratios = [FIG9_RATIOS[i % len(FIG9_RATIOS)] for i in range(n_phases)]
-    return PhasedQCFactory.flip_flop(FIG9_PHASE_MS, ratios)
 
 
 def _profit_cells(result: SimulationResult) -> Row:
@@ -96,7 +90,7 @@ def ablation_rho(config: ExperimentConfig,
                  trace: Trace | None = None) -> list[Row]:
     """Fixed-ρ grid + the adaptive scheduler, Figure 9 workload."""
     trace = trace if trace is not None else config.trace()
-    factory = _flip_flop_factory(trace)
+    factory = fig9_contracts(trace.duration_ms)
     points = list(FIXED_RHOS) + [None]  # None = adaptive (Eq. 4-6)
     results = run_tasks(
         [Task(_rho_task, (rho, trace, factory, config.run_seed),

@@ -198,27 +198,35 @@ FIG9_PHASE_MS = 75_000.0
 FIG9_RATIOS = (0.2, 5.0, 0.2, 5.0)
 
 
+def fig9_contracts(duration_ms: float) -> PhasedQCFactory:
+    """Figure 9's contract schedule over ``duration_ms``: at least one
+    :data:`FIG9_PHASE_MS` phase, the ratio cycling through
+    :data:`FIG9_RATIOS`."""
+    n_phases = max(1, round(duration_ms / FIG9_PHASE_MS))
+    return PhasedQCFactory.flip_flop(
+        FIG9_PHASE_MS,
+        [FIG9_RATIOS[i % len(FIG9_RATIOS)] for i in range(n_phases)])
+
+
 def fig9(config: ExperimentConfig | None = None,
          trace: Trace | None = None,
          scheduler: QUTSScheduler | None = None) -> dict[str, typing.Any]:
     """QUTS under flip-flopping preferences: profit tracking + ρ."""
     config = config or ExperimentConfig.from_env()
     trace = trace if trace is not None else config.trace()
-    n_phases = max(1, round(trace.duration_ms / FIG9_PHASE_MS))
-    ratios = [FIG9_RATIOS[i % len(FIG9_RATIOS)] for i in range(n_phases)]
-    factory = PhasedQCFactory.flip_flop(FIG9_PHASE_MS, ratios)
+    factory = fig9_contracts(trace.duration_ms)
     scheduler = scheduler or QUTSScheduler()
     result = run_simulation(scheduler, trace, factory,
                             master_seed=config.run_seed)
     assert result.rho_series is not None
     phase_rho = []
-    for k in range(n_phases):
-        start, end = k * FIG9_PHASE_MS, (k + 1) * FIG9_PHASE_MS
+    for k, (start, __) in enumerate(factory.phases):
+        end = start + FIG9_PHASE_MS
         values = [v for t, v in result.rho_series.items()
                   if start <= t < end]
         phase_rho.append({
             "phase": k,
-            "ratio_qos_to_qod": ratios[k],
+            "ratio_qos_to_qod": FIG9_RATIOS[k % len(FIG9_RATIOS)],
             "mean_rho": statistics.fmean(values) if values else float("nan"),
         })
     return {
@@ -250,9 +258,7 @@ def fig10(config: ExperimentConfig | None = None,
     """Total profit percentage as ω and τ vary (Fig 9 workload setup)."""
     config = config or ExperimentConfig.from_env()
     trace = trace if trace is not None else config.trace()
-    n_phases = max(1, round(trace.duration_ms / FIG9_PHASE_MS))
-    ratios = [FIG9_RATIOS[i % len(FIG9_RATIOS)] for i in range(n_phases)]
-    factory = PhasedQCFactory.flip_flop(FIG9_PHASE_MS, ratios)
+    factory = fig9_contracts(trace.duration_ms)
 
     sweep = ([("omega", omega) for omega in omegas]
              + [("tau", tau) for tau in taus])

@@ -44,10 +44,10 @@ from repro.analysis.rules import EntropyTaintRule, SetIterationRule
 from repro.db.transactions import Update
 from repro.experiments.config import (ExperimentConfig, SCALES,
                                       chosen_scale)
-from repro.experiments.figures import FIG9_PHASE_MS, FIG9_RATIOS
+from repro.experiments.figures import fig9_contracts
 from repro.experiments.runner import QCSource, run_simulation
 from repro.metrics.results import SimulationResult
-from repro.qc.generator import PhasedQCFactory, QCFactory
+from repro.qc.generator import QCFactory
 from repro.scheduling import QUTSScheduler, make_scheduler
 from repro.scheduling.base import Scheduler
 from repro.sim import Environment
@@ -102,13 +102,9 @@ def sanitize_scenarios(config: ExperimentConfig,
                         QCFactory.balanced())
             scenarios.append(Scenario(f"fig5/{policy}", build))
     if "fig9" in experiments:
-        n_phases = max(1, round(trace.duration_ms / FIG9_PHASE_MS))
-        ratios = [FIG9_RATIOS[i % len(FIG9_RATIOS)]
-                  for i in range(n_phases)]
-
         def build_fig9() -> tuple[Scheduler, Trace, QCSource]:
             return (QUTSScheduler(), trace,
-                    PhasedQCFactory.flip_flop(FIG9_PHASE_MS, ratios))
+                    fig9_contracts(trace.duration_ms))
         scenarios.append(Scenario("fig9/flip-flop", build_fig9))
     return scenarios
 

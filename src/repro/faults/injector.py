@@ -84,15 +84,6 @@ class FaultInjector:
     # ------------------------------------------------------------------
     # State the runner's arrival sources consult
     # ------------------------------------------------------------------
-    @property
-    def updates_stalled(self) -> bool:
-        return self._stall_released is not None
-
-    @property
-    def query_multiplier(self) -> float:
-        """Current load-spike multiplier (1.0 outside spike windows)."""
-        return self._spike_multiplier
-
     def extra_query_copies(self) -> int:
         """Clone count the runner submits on top of each trace query."""
         return max(0, round(self._spike_multiplier) - 1)

@@ -37,7 +37,6 @@ class ProfitLedger:
         # Distributions.
         self.response_time = Tally("response_time_ms")
         self.staleness = Tally("staleness_uu")
-        self.query_restarts = Tally("query_restarts")
 
         # Outcome counters.
         self.counters = CounterSet()
@@ -70,7 +69,6 @@ class ProfitLedger:
         self.response_time.observe(query.response_time())
         if query.staleness is not None:
             self.staleness.observe(query.staleness)
-        self.query_restarts.observe(query.restarts)
         self.counters.increment("queries_committed")
 
     def on_query_dropped(self, query: Query, now: float) -> None:

@@ -10,14 +10,14 @@ Membership *is* the back reference: ``txn`` is a member of ``queue`` iff
 ``txn._queue is queue`` (no parallel id set to keep in step).  Liveness
 accounting is unified around one invariant: **membership implies
 liveness**.  The transaction's status setter reports the moment it leaves
-the live set (see :class:`repro.db.transactions.Transaction`), so
-``discard``, ``pop``, and in-queue death all retire membership at the same
-place.  That makes ``len(queue)`` — and the per-class ``live_queries`` /
-``live_updates`` counts the schedulers' ``pending_*`` introspection and the
-invariant monitor hit on every sample — an exact O(1) read instead of the
-former O(n) heap scan.
+the live set (see :class:`repro.db.transactions.Transaction`), so ``pop``
+and in-queue death retire membership at the same place.  That makes
+``len(queue)`` — and the per-class ``live_queries`` / ``live_updates``
+counts the schedulers' ``pending_*`` introspection and the invariant
+monitor hit on every sample — an exact O(1) read instead of the former
+O(n) heap scan.
 
-Heap entries stranded by discard/death are skipped lazily at pop time; when
+Heap entries stranded by in-queue death are skipped lazily at pop time; when
 they outnumber the live entries the heap is compacted in one O(n) pass, so
 heap size stays within a constant factor of the live population.
 """
@@ -25,7 +25,6 @@ heap size stays within a constant factor of the live population.
 from __future__ import annotations
 
 import itertools
-import typing
 from heapq import heapify, heappop, heappush
 
 from repro.db.transactions import Transaction
@@ -89,25 +88,6 @@ class TransactionQueue:
                 return txn
         return None
 
-    def peek(self) -> Transaction | None:
-        """The transaction :meth:`pop` would return, without removing it."""
-        heap = self._heap
-        while heap:
-            __, __, txn = heap[0]
-            if txn._queue is self and txn.alive:
-                return txn
-            heappop(heap)
-            if txn._queue is self:
-                self._retire(txn)
-        return None
-
-    def discard(self, txn: Transaction) -> None:
-        """Remove ``txn`` from the queue if present (lazy: the heap entry
-        is skipped later, or swept by compaction)."""
-        if txn._queue is self:
-            self._retire(txn)
-            self._maybe_compact()
-
     def _note_death(self, txn: Transaction) -> None:
         """Status-setter hook: a queued transaction just left the live
         set.  Retire its membership immediately so live counts stay exact
@@ -129,7 +109,7 @@ class TransactionQueue:
 
         Entries keep their (key, tie) pairs, so compaction never perturbs
         the pop order — it only sheds the lazy-deletion backlog that
-        ``discard`` and in-queue deaths leave behind.
+        in-queue deaths leave behind.
         """
         n = len(self._heap)
         live = self.live_queries + self.live_updates
@@ -138,14 +118,3 @@ class TransactionQueue:
             self._heap = [entry for entry in self._heap
                           if entry[2]._queue is self]
             heapify(self._heap)
-
-    def is_empty(self) -> bool:
-        return self.peek() is None
-
-    def drain(self) -> typing.Iterator[Transaction]:
-        """Pop everything (used at simulation end to account leftovers)."""
-        while True:
-            txn = self.pop()
-            if txn is None:
-                return
-            yield txn

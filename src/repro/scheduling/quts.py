@@ -71,9 +71,9 @@ class QUTSScheduler(Scheduler):
                  query_policy: PriorityPolicy | None = None,
                  update_policy: PriorityPolicy | None = None) -> None:
         super().__init__()
-        if tau <= 0:
+        if not tau > 0:
             raise ValueError(f"atom time tau must be positive, got {tau}")
-        if omega <= 0:
+        if not omega > 0:
             raise ValueError(f"adaptation period omega must be positive, "
                              f"got {omega}")
         if not 0.0 < alpha <= 1.0:

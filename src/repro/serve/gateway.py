@@ -115,20 +115,24 @@ class GatewayConfig:
         if self.max_pending_updates <= 0:
             raise ValueError(f"max_pending_updates must be positive, "
                              f"got {self.max_pending_updates}")
-        if self.slice_ms <= 0:
+        if not self.slice_ms > 0:
             raise ValueError(
                 f"slice_ms must be positive, got {self.slice_ms}")
-        if self.deadline_factor is not None and self.deadline_factor <= 0:
+        if (self.deadline_factor is not None
+                and not self.deadline_factor > 0):
             raise ValueError(
                 f"deadline_factor must be positive, got "
                 f"{self.deadline_factor}")
-        if self.sweep_interval_ms <= 0:
+        if not self.sweep_interval_ms > 0:
             raise ValueError(
                 f"sweep_interval_ms must be positive, got "
                 f"{self.sweep_interval_ms}")
-        if self.cpu_speed <= 0:
+        if not self.cpu_speed > 0:
             raise ValueError(
                 f"cpu_speed must be positive, got {self.cpu_speed}")
+        if not self.retry_after_ms >= 0:
+            raise ValueError(
+                f"retry_after_ms must be >= 0, got {self.retry_after_ms}")
 
 
 @dataclasses.dataclass

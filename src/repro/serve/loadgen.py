@@ -73,10 +73,10 @@ class LoadgenConfig:
     max_retries: int = 3
 
     def __post_init__(self) -> None:
-        if self.duration_ms <= 0:
+        if not self.duration_ms > 0:
             raise ValueError(
                 f"duration_ms must be positive, got {self.duration_ms}")
-        if self.rate_multiplier <= 0:
+        if not self.rate_multiplier > 0:
             raise ValueError(f"rate_multiplier must be positive, "
                              f"got {self.rate_multiplier}")
         if self.n_keys < 1:

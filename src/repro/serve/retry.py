@@ -27,7 +27,7 @@ class RetryBudget:
 
     def __init__(self, fraction: float = 0.1,
                  max_tokens: float = 100.0) -> None:
-        if fraction < 0:
+        if not fraction >= 0:
             raise ValueError(f"fraction must be >= 0, got {fraction}")
         if max_tokens <= 0:
             raise ValueError(f"max_tokens must be positive, got {max_tokens}")

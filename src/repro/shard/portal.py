@@ -80,12 +80,12 @@ class RebalanceConfig:
     min_weight: int = 1
 
     def __post_init__(self) -> None:
-        if self.interval_ms <= 0 or self.drain_poll_ms <= 0:
+        if not (self.interval_ms > 0 and self.drain_poll_ms > 0):
             raise ValueError("intervals must be positive")
-        if self.skew_threshold < 1.0:
+        if not self.skew_threshold >= 1.0:
             raise ValueError(
                 f"skew_threshold must be >= 1, got {self.skew_threshold}")
-        if self.drain_timeout_ms < 0 or self.min_weight < 1:
+        if not self.drain_timeout_ms >= 0 or self.min_weight < 1:
             raise ValueError("invalid drain_timeout_ms / min_weight")
 
 

@@ -3,7 +3,7 @@
 The kernel provides:
 
 * :class:`Environment` — the clock and event loop;
-* :class:`Event`, :class:`Timeout`, condition helpers — synchronisation;
+* :class:`Event`, :class:`Timeout` — synchronisation;
 * :class:`Process` / :class:`Interrupt` — generator-based coroutines;
 * :class:`StreamRegistry` — named deterministic random streams;
 * monitors — tallies, time series, time-weighted averages.
@@ -14,15 +14,13 @@ Time is a float interpreted as **milliseconds** throughout this library.
 from .environment import Environment, Infinity
 from .errors import (EventLifecycleError, Interrupt, ProcessError,
                      SchedulingError, SimulationError)
-from .events import Condition, ConditionValue, Event, Timeout, all_of, any_of
+from .events import Event, Timeout
 from .invariants import InvariantMonitor, InvariantViolation
 from .monitor import Counter, CounterSet, Tally, TimeSeries, TimeWeighted
 from .process import Process
 from .rng import RandomStream, StreamRegistry
 
 __all__ = [
-    "Condition",
-    "ConditionValue",
     "Counter",
     "CounterSet",
     "Environment",
@@ -42,6 +40,4 @@ __all__ = [
     "TimeSeries",
     "TimeWeighted",
     "Timeout",
-    "all_of",
-    "any_of",
 ]

@@ -41,7 +41,7 @@ from heapq import heappop, heappush
 from itertools import count
 
 from .errors import EventLifecycleError, SchedulingError, StopSimulation
-from .events import Event, Timeout, all_of, any_of
+from .events import Event, Timeout
 from .process import Event_NORMAL, Process, ProcessGenerator
 
 Infinity = float("inf")
@@ -164,14 +164,6 @@ class Environment:
         """Start a new process from ``generator``; returns its Process
         event."""
         return Process(self, generator, name=name)
-
-    def all_of(self, events: typing.Iterable[Event]) -> Event:
-        """Condition event triggering when all ``events`` have succeeded."""
-        return all_of(self, events)
-
-    def any_of(self, events: typing.Iterable[Event]) -> Event:
-        """Condition event triggering when any of ``events`` has succeeded."""
-        return any_of(self, events)
 
     # ------------------------------------------------------------------
     # Scheduling and stepping

@@ -30,8 +30,8 @@ PENDING = object()
 class Event:
     """A happening at a point in simulated time, awaited by processes.
 
-    Events are the only synchronisation primitive in the kernel; timeouts,
-    process termination, and condition events are all subclasses.
+    Events are the only synchronisation primitive in the kernel; timeouts
+    and process termination are subclasses.
 
     Events are created in the millions per run, so the whole hierarchy is
     ``__slots__``-based: no per-instance dict, cheaper construction, and
@@ -141,97 +141,6 @@ class Timeout(Event):
         env.schedule(self, delay=delay)
 
 
-class ConditionValue:
-    """Mapping-like view of the values of the events a condition waited on."""
-
-    __slots__ = ("events",)
-
-    def __init__(self) -> None:
-        self.events: list[Event] = []
-
-    def __getitem__(self, key: Event) -> object:
-        if key not in self.events:
-            raise KeyError(repr(key))
-        return key.value
-
-    def __contains__(self, key: Event) -> bool:
-        return key in self.events
-
-    def __iter__(self) -> typing.Iterator[Event]:
-        return iter(self.events)
-
-    def __len__(self) -> int:
-        return len(self.events)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, ConditionValue):
-            return self.todict() == other.todict()
-        if isinstance(other, dict):
-            return self.todict() == other
-        return NotImplemented
-
-    def __repr__(self) -> str:
-        return f"<ConditionValue {self.todict()!r}>"
-
-    def todict(self) -> dict[Event, object]:
-        return {event: event.value for event in self.events}
-
-
-class Condition(Event):
-    """An event that triggers when ``evaluate`` is satisfied by its children.
-
-    Used through the :func:`all_of` / :func:`any_of` helpers (or the ``&`` /
-    ``|`` operators on events, which are intentionally *not* provided here to
-    keep the API explicit).
-    """
-
-    __slots__ = ("_evaluate", "_events", "_count")
-
-    def __init__(self, env: "Environment",
-                 evaluate: typing.Callable[[list[Event], int], bool],
-                 events: typing.Iterable[Event]) -> None:
-        super().__init__(env)
-        self._evaluate = evaluate
-        self._events = list(events)
-        self._count = 0
-
-        for event in self._events:
-            if event.env is not env:
-                raise ValueError("events belong to different environments")
-
-        # Register with children; already-triggered children are counted
-        # immediately by checking processed/triggered state.
-        for event in self._events:
-            if event.callbacks is None:
-                # Already processed: evaluate its outcome right now.
-                self._check(event)
-            else:
-                event.callbacks.append(self._check)
-
-        # If no child events at all, the condition is vacuously true.
-        if not self._events and self._value is PENDING:
-            self.succeed(ConditionValue())
-
-    def _collect_values(self) -> ConditionValue:
-        value = ConditionValue()
-        for event in self._events:
-            # Only *processed* events have actually happened; timeouts are
-            # "triggered" from construction but fire later.
-            if event.processed and event.ok:
-                value.events.append(event)
-        return value
-
-    def _check(self, event: Event) -> None:
-        if self._value is not PENDING:
-            return
-        self._count += 1
-        if not event.ok:
-            event.defuse()
-            self.fail(typing.cast(BaseException, event.value))
-        elif self._evaluate(self._events, self._count):
-            self.succeed(self._collect_values())
-
-
 def event_kind(event: Event) -> str:
     """Short lowercase kind tag for telemetry ("timeout", "process", ...).
 
@@ -240,13 +149,3 @@ def event_kind(event: Event) -> str:
     :mod:`repro.sim.process`, which imports this module).
     """
     return type(event).__name__.lower()
-
-
-def all_of(env: "Environment", events: typing.Iterable[Event]) -> Condition:
-    """Condition that triggers once *all* of ``events`` have succeeded."""
-    return Condition(env, lambda evs, count: count >= len(evs), events)
-
-
-def any_of(env: "Environment", events: typing.Iterable[Event]) -> Condition:
-    """Condition that triggers once *any* of ``events`` has succeeded."""
-    return Condition(env, lambda evs, count: count >= 1 or not evs, events)

@@ -17,9 +17,8 @@ A violated law raises :class:`InvariantViolation` immediately, carrying
 the most recent events as a diagnostic trace, instead of letting the
 run diverge silently.  The monitor is an *observer*: it schedules no
 events, draws no randomness, and therefore never perturbs a run — a
-monitored simulation is bit-identical to an unmonitored one.  It is
-toggleable (``enabled=False`` turns every check into a no-op) so
-benchmarks can run it off.
+monitored simulation is bit-identical to an unmonitored one.  A run
+without a monitor passes ``monitor=None``.
 
 The write-ahead log (:mod:`repro.db.wal`) raises the same
 :class:`InvariantViolation` when a corrupted record fails its checksum
@@ -76,15 +75,12 @@ class InvariantMonitor:
 
     ``now_fn`` supplies the observed clock (usually ``lambda: env.now``).
     ``history`` bounds the diagnostic ring buffer attached to violations.
-    With ``enabled=False`` every method returns immediately, so the
-    monitor can stay wired in while costing nothing.
     """
 
     def __init__(self, now_fn: typing.Callable[[], float] | None = None,
-                 *, enabled: bool = True, history: int = 64) -> None:
+                 *, history: int = 64) -> None:
         if history <= 0:
             raise ValueError(f"history must be positive, got {history}")
-        self.enabled = enabled
         self._now_fn = now_fn or (lambda: 0.0)
         self._trace: collections.deque[tuple] = collections.deque(
             maxlen=history)
@@ -97,8 +93,7 @@ class InvariantMonitor:
         self.profit_credited = 0.0
 
     def __repr__(self) -> str:
-        state = "on" if self.enabled else "off"
-        return (f"<InvariantMonitor {state} events={self.events_seen} "
+        return (f"<InvariantMonitor events={self.events_seen} "
                 f"open={self._open}>")
 
     # ------------------------------------------------------------------
@@ -107,8 +102,6 @@ class InvariantMonitor:
     def record(self, kind: str, txn_id: int | None = None,
                **data: typing.Any) -> None:
         """Observe one simulation event and check every applicable law."""
-        if not self.enabled:
-            return
         now = self._now_fn()
         self.events_seen += 1
         self._trace.append((now, kind, {"txn": txn_id, **data}))
@@ -173,16 +166,9 @@ class InvariantMonitor:
     # ------------------------------------------------------------------
     # End-of-run laws
     # ------------------------------------------------------------------
-    @property
-    def open_transactions(self) -> int:
-        """Transactions submitted but not yet in a terminal state."""
-        return self._open
-
     def verify_complete(self, total_gained: float) -> None:
         """After finalize: nothing may still be open, and the ledgers'
         gained profit must equal the sum of per-contract payouts."""
-        if not self.enabled:
-            return
         if self._open:
             stuck = [tid for tid, state in self._ledger.items()
                      if state == "open"]

@@ -56,37 +56,6 @@ class Tally:
     def stdev(self) -> float:
         return math.sqrt(self.variance)
 
-    def merge(self, other: "Tally") -> "Tally":
-        """Fold ``other`` into this tally (Chan et al. parallel Welford).
-
-        The result is identical (up to float association) to observing
-        both sample streams into one tally — what the parallel sweep
-        engine needs to combine per-worker statistics.  Returns ``self``
-        for chaining.
-        """
-        if other.count == 0:
-            return self
-        if self.count == 0:
-            self.count = other.count
-            self.total = other.total
-            self._mean = other._mean
-            self._m2 = other._m2
-            self.minimum = other.minimum
-            self.maximum = other.maximum
-            return self
-        combined = self.count + other.count
-        delta = other._mean - self._mean
-        self._m2 += (other._m2
-                     + delta * delta * self.count * other.count / combined)
-        self._mean += delta * other.count / combined
-        self.count = combined
-        self.total += other.total
-        if other.minimum < self.minimum:
-            self.minimum = other.minimum
-        if other.maximum > self.maximum:
-            self.maximum = other.maximum
-        return self
-
 
 class FloatColumn(array):
     """An ``array('d')`` that also compares equal to a list of the same

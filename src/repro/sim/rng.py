@@ -61,14 +61,6 @@ class RandomStream(random.Random):
         """One :meth:`zipf_sampler` draw."""
         return self.zipf_sampler(n, theta)()
 
-    def bounded_pareto(self, alpha: float, low: float, high: float) -> float:
-        """Bounded Pareto variate in ``[low, high]`` with shape ``alpha``."""
-        if not 0 < low < high:
-            raise ValueError("need 0 < low < high")
-        u = self.random()
-        la, ha = low ** alpha, high ** alpha
-        return (-(u * ha - u * la - ha) / (ha * la)) ** (-1.0 / alpha)
-
 
 @typing.no_type_check
 def _zipf_cdf(n: int, theta: float) -> list[float]:

@@ -24,10 +24,10 @@ import argparse
 import os
 import typing
 
-from repro.experiments import FIG9_PHASE_MS, FIG9_RATIOS, ExperimentConfig
+from repro.experiments import ExperimentConfig, fig9_contracts
 from repro.experiments.config import chosen_scale
 from repro.experiments.runner import QCSource, free_qc_source, run_simulation
-from repro.qc.generator import PhasedQCFactory, QCFactory
+from repro.qc.generator import QCFactory
 from repro.scheduling import make_scheduler
 from repro.workload.traces import Trace
 
@@ -87,10 +87,7 @@ def _qc_source(fig: int, trace: Trace) -> QCSource:
         return free_qc_source()  # Figure 1 is the no-QC triangle
     if fig in (9, 10):
         # The flip-flopping preference phases that drive ρ adaptation.
-        n_phases = max(1, round(trace.duration_ms / FIG9_PHASE_MS))
-        ratios = [FIG9_RATIOS[i % len(FIG9_RATIOS)]
-                  for i in range(n_phases)]
-        return PhasedQCFactory.flip_flop(FIG9_PHASE_MS, ratios)
+        return fig9_contracts(trace.duration_ms)
     return QCFactory.balanced()
 
 

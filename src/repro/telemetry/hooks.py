@@ -39,12 +39,7 @@ class TelemetrySession:
 
     def __init__(self, config: TelemetryConfig | None = None) -> None:
         self.config = config or TelemetryConfig()
-        tracer = Tracer.from_config(self.config)
-        if tracer is None:
-            raise ValueError(
-                "TelemetrySession requires an enabled TelemetryConfig; "
-                "pass telemetry=None to run without instrumentation")
-        self.tracer = tracer
+        self.tracer = Tracer.from_config(self.config)
         self.registry = MetricsRegistry()
 
     @classmethod
@@ -52,20 +47,17 @@ class TelemetrySession:
                   ) -> "TelemetrySession | None":
         """Coerce the user-facing ``telemetry=`` knob into a session.
 
-        Accepts ``None``/``False`` (off), ``True`` (defaults), a
-        :class:`TelemetryConfig`, or an existing session (shared across
-        replicas / reused by the caller).
+        Accepts ``None`` (off), a :class:`TelemetryConfig`, or an
+        existing session (shared across replicas / reused by the caller).
         """
-        if telemetry is None or telemetry is False:
+        if telemetry is None:
             return None
-        if telemetry is True:
-            return cls(TelemetryConfig())
         if isinstance(telemetry, TelemetryConfig):
-            return cls(telemetry) if telemetry.enabled else None
+            return cls(telemetry)
         if isinstance(telemetry, TelemetrySession):
             return telemetry
         raise TypeError(
-            f"telemetry must be None, bool, TelemetryConfig, or "
+            f"telemetry must be None, TelemetryConfig, or "
             f"TelemetrySession, got {telemetry!r}")
 
     def __repr__(self) -> str:
@@ -93,7 +85,7 @@ class TelemetrySession:
 
 
 #: What the ``telemetry=`` keyword accepts throughout the stack.
-TelemetryKnob = typing.Union[None, bool, TelemetryConfig, TelemetrySession]
+TelemetryKnob = typing.Union[None, TelemetryConfig, TelemetrySession]
 
 
 def _txn_kind(txn: "Transaction") -> str:
@@ -360,11 +352,6 @@ class SchedulerProbe:
                 self.metrics.gauge("sched/queue_depth_updates").record)
         gauges[0](now, queries)
         gauges[1](now, updates)
-
-    def queue_depths(self, now: float, queries: int,
-                     updates: int) -> None:
-        if self.wants_depths():
-            self.record_depths(now, queries, updates)
 
 
 class ClusterProbe:

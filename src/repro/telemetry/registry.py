@@ -33,8 +33,7 @@ class Histogram:
 
     Bucket ``i`` counts observations ``<= boundaries[i]``; the final
     implicit bucket counts the overflow.  Boundaries are fixed at
-    construction so histograms from parallel workers can be merged
-    bucket-wise.
+    construction.
     """
 
     __slots__ = ("name", "boundaries", "counts", "tally")
@@ -56,16 +55,6 @@ class Histogram:
     def observe(self, value: float) -> None:
         self.counts[bisect.bisect_left(self.boundaries, value)] += 1
         self.tally.observe(value)
-
-    def merge(self, other: "Histogram") -> "Histogram":
-        if other.boundaries != self.boundaries:
-            raise ValueError(
-                f"cannot merge histograms with different boundaries "
-                f"({self.name!r} vs {other.name!r})")
-        for i, count in enumerate(other.counts):
-            self.counts[i] += count
-        self.tally.merge(other.tally)
-        return self
 
 
 class MetricsRegistry:
@@ -135,22 +124,6 @@ class MetricsRegistry:
 
     def histograms(self) -> dict[str, Histogram]:
         return dict(sorted(self._histograms.items()))
-
-    def merge(self, other: "MetricsRegistry") -> "MetricsRegistry":
-        """Fold another registry in (combining parallel-worker results).
-
-        Counters add, histograms merge bucket-wise, and gauges are
-        *kept* from whichever side has them (time series from different
-        workers describe different runs and cannot be interleaved
-        meaningfully; first writer wins, later duplicates are ignored).
-        """
-        for name, counter in other._counters.items():
-            self.counter(name).increment(counter.value)
-        for name, histogram in other._histograms.items():
-            self.histogram(name, histogram.boundaries).merge(histogram)
-        for name, series in other._gauges.items():
-            self._gauges.setdefault(name, series)
-        return self
 
 
 class ScopedRegistry:

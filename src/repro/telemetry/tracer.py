@@ -32,7 +32,7 @@ DEFAULT_BUFFER_SIZE = 1_000_000
 
 @dataclasses.dataclass(frozen=True)
 class TelemetryConfig:
-    """The ``telemetry=`` knob on server / experiment configs.
+    """What ``telemetry=`` takes to turn tracing on (``None`` is off).
 
     A plain, picklable value object so parallel sweep tasks can carry it
     to worker processes.  ``categories`` is the per-category enable set;
@@ -46,7 +46,6 @@ class TelemetryConfig:
     Categories absent from the mapping keep everything.
     """
 
-    enabled: bool = True
     categories: tuple[str, ...] = tuple(sorted(CATEGORIES))
     buffer_size: int = DEFAULT_BUFFER_SIZE
     #: Per-category keep fraction; normalised to a sorted tuple of
@@ -120,10 +119,8 @@ class Tracer:
                 self._stride_state[category] = [0, stride]
 
     @classmethod
-    def from_config(cls, config: TelemetryConfig | None) -> "Tracer | None":
-        """A tracer per ``config`` — or None for off (the no-op path)."""
-        if config is None or not config.enabled:
-            return None
+    def from_config(cls, config: TelemetryConfig) -> "Tracer":
+        """A tracer per ``config``."""
         return cls(categories=config.categories,
                    buffer_size=config.buffer_size,
                    sample_rate=config.sample_rate)

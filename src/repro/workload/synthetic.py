@@ -117,7 +117,7 @@ class WorkloadSpec:
     read_set_pmf: tuple[float, ...] = (0.70, 0.20, 0.10)
 
     def __post_init__(self) -> None:
-        if self.duration_ms <= 0:
+        if not self.duration_ms > 0:
             raise ValueError("duration must be positive")
         if self.n_stocks <= 0:
             raise ValueError("need at least one stock")
@@ -127,7 +127,19 @@ class WorkloadSpec:
             raise ValueError("query_rate_wobble must be in [0, 1)")
         if not 0 <= self.update_rate_trend < 1:
             raise ValueError("update_rate_trend must be in [0, 1)")
-        if self.update_burst_mean < 1.0:
+        for name in ("query_rate_per_s", "update_rate_per_s",
+                     "crowds_per_5min", "update_burst_window_ms",
+                     "query_zipf_theta", "update_zipf_theta"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(
+                    f"{name} must be >= 0, got {getattr(self, name)}")
+        for name in ("crowd_duration_s", "crowd_multiplier"):
+            low, high = getattr(self, name)
+            if not 0 <= low <= high:
+                raise ValueError(
+                    f"{name} must satisfy 0 <= low <= high, "
+                    f"got {getattr(self, name)}")
+        if not self.update_burst_mean >= 1.0:
             raise ValueError("update_burst_mean must be >= 1")
         low, high = self.update_exec_range_ms
         if not low < self.update_exec_mean_ms < high:

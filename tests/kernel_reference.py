@@ -29,8 +29,8 @@ class HeapEnvironment(Environment):
     Every method that touches the queue is overridden here and written
     plainly (no inlined event construction, one pop per loop turn), so
     the equivalence tests compare two implementations of the dispatch
-    order; only the queue-free helpers (``event``, ``process``,
-    ``all_of``, the sanitizer loop over ``_pop_entry``) are inherited.
+    order; only the queue-free helpers (``event``, ``process``, the
+    sanitizer loop over ``_pop_entry``) are inherited.
     """
 
     def __init__(self, initial_time: float = 0.0) -> None:

@@ -1,9 +1,11 @@
-"""The CI workflow parses, and its benchmark steps name real workloads.
+"""The CI workflow parses, and every step calls something that exists.
 
 A workflow that is not valid YAML fails silently on the hosting side:
 no job runs and nothing reports red.  Parsing it here makes that a
 test failure, and so is a ``bench/run.py --workload`` step naming a
-workload ``BENCHMARK.json`` does not declare.
+workload ``BENCHMARK.json`` does not declare, a step naming a test file
+that is gone, or a ``python -m repro.cli`` step naming a subcommand the
+CLI no longer accepts.
 """
 
 import json
@@ -11,6 +13,8 @@ import pathlib
 import re
 
 import pytest
+
+from repro.cli import main as cli_main
 
 yaml = pytest.importorskip("yaml")
 
@@ -31,3 +35,23 @@ def test_bench_steps_name_declared_workloads():
     named = re.findall(r"bench/run\.py\s+--workload\s+(\S+)", CI.read_text())
     assert named
     assert set(named) <= declared
+
+
+def test_named_test_files_exist():
+    # Steps name files from the root (``tests/...``) or after
+    # ``cd benchmarks`` (a bare ``test_*.py``).
+    named = set(re.findall(r"[\w/]*test_\w+\.py", CI.read_text()))
+    assert named
+    missing = [name for name in sorted(named)
+               if not (ROOT / name).is_file()
+               and not (ROOT / "benchmarks" / name).is_file()]
+    assert not missing
+
+
+@pytest.mark.parametrize("word", sorted(set(re.findall(
+    r"python -m repro\.cli\s+(?:\\\s+)?(\w+)", CI.read_text()))))
+def test_cli_subcommands_accept_help(word, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        cli_main([word, "--help"])
+    assert exit_info.value.code == 0
+    assert "usage" in capsys.readouterr().out

@@ -116,19 +116,6 @@ class TestStaleInterrupts:
         assert query.finish_time == pytest.approx(9.0)
 
 
-class TestQueueSampler:
-    def test_samples_recorded(self):
-        env, server, __ = build(make_uh(), queue_sample_every=5.0)
-        for k in range(4):
-            at(env, 0.0, server.submit_query,
-               Query(0.0, 7.0, (f"Q{k}",), step_qc()))
-        env.run(until=21.0)
-        assert len(server.queue_lengths) == 4
-        # Queue length decreases as queries complete.
-        assert server.queue_lengths.values[0] >= \
-            server.queue_lengths.values[-1]
-
-
 class TestIdleBehaviour:
     def test_server_idles_and_wakes(self):
         env, server, ledger = build(make_uh())

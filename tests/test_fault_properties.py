@@ -107,7 +107,6 @@ class TestFaultScheduleInvariants:
         assert 0.0 <= result.qos_percent <= 1.0
         assert 0.0 <= result.qod_percent <= 1.0
         assert 0.0 <= result.availability <= 1.0
-        assert 0.0 <= result.replica_availability <= 1.0
         # The union of outage intervals never exceeds the replica-ms sum
         # and availability ranks accordingly.
         assert result.downtime_union_ms <= result.downtime_ms + 1e-6

@@ -5,14 +5,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cli import main
+from repro.cluster.health import HealthConfig
 from repro.db.database import Database
 from repro.db.server import DatabaseServer, ServerConfig
 from repro.db.transactions import Query, TxnStatus, Update
+from repro.db.wal import DurabilityConfig
 from repro.metrics.profit import ProfitLedger
 from repro.qc.contracts import CompositionMode, QualityContract
-from repro.scheduling import make_uh
+from repro.scheduling import QUTSScheduler, make_uh
+from repro.serve.gateway import GatewayConfig
+from repro.serve.loadgen import LoadgenConfig
+from repro.serve.retry import RetryBudget
+from repro.shard.portal import RebalanceConfig
 from repro.sim import Environment
 from repro.sim.rng import StreamRegistry
+from repro.workload.synthetic import WorkloadSpec
 
 nonneg = st.floats(min_value=0.0, max_value=1e6,
                    allow_nan=False, allow_infinity=False)
@@ -90,3 +97,42 @@ class TestCLIFig9Smoke:
         out = capsys.readouterr().out
         assert "mean rho" in out
         assert "rho over time" in out
+
+
+NAN = float("nan")
+
+NAN_FIELDS = [
+    (ServerConfig, "class_switch_overhead", NAN),
+    (QUTSScheduler, "tau", NAN),
+    (QUTSScheduler, "omega", NAN),
+    *[(WorkloadSpec, name, NAN) for name in (
+        "duration_ms", "query_rate_per_s", "update_rate_per_s",
+        "crowds_per_5min", "update_burst_mean", "update_burst_window_ms",
+        "query_zipf_theta", "update_zipf_theta")],
+    (WorkloadSpec, "crowd_duration_s", (NAN, 6.0)),
+    (WorkloadSpec, "crowd_multiplier", (3.0, NAN)),
+    *[(RebalanceConfig, name, NAN) for name in (
+        "interval_ms", "skew_threshold", "drain_poll_ms",
+        "drain_timeout_ms")],
+    (DurabilityConfig, "checkpoint_interval_ms", NAN),
+    *[(GatewayConfig, name, NAN) for name in (
+        "slice_ms", "cpu_speed", "sweep_interval_ms", "deadline_factor",
+        "retry_after_ms")],
+    *[(HealthConfig, name, NAN) for name in (
+        "trip_suspicion", "clear_suspicion", "gap_points",
+        "failure_points", "gap_halflife_ms", "open_ms", "probe_backoff",
+        "max_open_ms")],
+    (RetryBudget, "fraction", NAN),
+    (LoadgenConfig, "duration_ms", NAN),
+    (LoadgenConfig, "rate_multiplier", NAN),
+]
+
+
+@pytest.mark.parametrize(
+    "cls, field, value", NAN_FIELDS,
+    ids=[f"{cls.__name__}.{field}" for cls, field, __ in NAN_FIELDS])
+def test_nan_config_value_rejected(cls, field, value):
+    # ``x <= 0`` is False for NaN: every guard must be written so that a
+    # NaN fails it instead of constructing a silently wrong run.
+    with pytest.raises(ValueError):
+        cls(**{field: value})

@@ -19,6 +19,14 @@ def query(at=0.0, qosmax=10.0, rtmax=50.0):
                  qc=QualityContract.step(qosmax, rtmax, 0.0, 1.0))
 
 
+def pop_all(q):
+    """Pop until empty; the live members in pop order."""
+    popped = []
+    while (txn := q.pop()) is not None:
+        popped.append(txn)
+    return popped
+
+
 class TestBasicOperations:
     def test_fifo_order(self):
         q = TransactionQueue(FCFSPriority())
@@ -29,14 +37,6 @@ class TestBasicOperations:
         assert q.pop() is second
         assert q.pop() is None
 
-    def test_peek_does_not_remove(self):
-        q = TransactionQueue(FCFSPriority())
-        txn = update()
-        q.push(txn)
-        assert q.peek() is txn
-        assert q.peek() is txn
-        assert q.pop() is txn
-
     def test_vrd_order(self):
         q = TransactionQueue(VRDPriority())
         cheap = query(qosmax=1.0, rtmax=100.0)    # VRD 0.01
@@ -44,12 +44,6 @@ class TestBasicOperations:
         q.push(cheap)
         q.push(valuable)
         assert q.pop() is valuable
-
-    def test_is_empty(self):
-        q = TransactionQueue(FCFSPriority())
-        assert q.is_empty()
-        q.push(update())
-        assert not q.is_empty()
 
 
 class TestInvalidation:
@@ -60,14 +54,8 @@ class TestInvalidation:
         q.push(alive)
         dead.status = TxnStatus.DROPPED_SUPERSEDED
         assert q.pop() is alive
-
-    def test_dead_transactions_skipped_at_peek(self):
-        q = TransactionQueue(FCFSPriority())
-        dead = update(at=1.0)
-        q.push(dead)
-        dead.status = TxnStatus.DROPPED_SUPERSEDED
-        assert q.peek() is None
-        assert q.is_empty()
+        assert q.pop() is None
+        assert len(q) == 0
 
     def test_len_counts_only_live_members(self):
         q = TransactionQueue(FCFSPriority())
@@ -102,17 +90,6 @@ class TestMembership:
         q.push(txn)
         assert q.pop() is txn
 
-    def test_discard_removes(self):
-        q = TransactionQueue(FCFSPriority())
-        txn = update()
-        q.push(txn)
-        q.discard(txn)
-        assert q.pop() is None
-
-    def test_discard_unknown_is_noop(self):
-        q = TransactionQueue(FCFSPriority())
-        q.discard(update())  # must not raise
-
     def test_approximate_len_includes_dead(self):
         q = TransactionQueue(FCFSPriority())
         dead = update()
@@ -131,7 +108,7 @@ class TestLiveCounts:
     set until the dead entry happened to be popped."""
 
     @given(st.lists(st.tuples(
-        st.sampled_from(["push", "pop", "discard", "kill"]),
+        st.sampled_from(["push", "pop", "kill"]),
         st.integers(min_value=0, max_value=11)), max_size=120))
     @settings(max_examples=200, deadline=None)
     def test_len_matches_exact_scan(self, ops):
@@ -140,7 +117,7 @@ class TestLiveCounts:
                 for k in range(12)]
         # The oracle is the queue's observable contract, not its
         # representation: queued = pushed while alive, and not since
-        # popped, discarded or killed.
+        # popped or killed.
         queued = set()
         for op, idx in ops:
             txn = pool[idx]
@@ -153,17 +130,13 @@ class TestLiveCounts:
                            default=None)
                 assert q.pop() is head
                 queued.discard(head)
-            elif op == "discard":
-                q.discard(txn)
-                queued.discard(txn)
             elif txn.alive:  # kill: death while (possibly) queued
                 txn.status = TxnStatus.DROPPED_SUPERSEDED
                 queued.discard(txn)
             assert len(q) == len(queued)
             assert q.live_queries == sum(t.is_query for t in queued)
             assert q.live_updates == sum(t.is_update for t in queued)
-        assert list(q.drain()) == sorted(queued,
-                                         key=lambda t: t.arrival_time)
+        assert pop_all(q) == sorted(queued, key=lambda t: t.arrival_time)
 
     def test_death_in_queue_updates_len_immediately(self):
         q = TransactionQueue(FCFSPriority())
@@ -206,22 +179,4 @@ class TestCompaction:
         for txn in txns:
             if txn not in survivors:
                 txn.status = TxnStatus.DROPPED_SUPERSEDED
-        assert list(q.drain()) == survivors
-
-
-class TestDrain:
-    def test_drain_yields_in_priority_order(self):
-        q = TransactionQueue(FCFSPriority())
-        txns = [update(at=float(k)) for k in range(5)]
-        for txn in reversed(txns):
-            q.push(txn)
-        assert list(q.drain()) == txns
-        assert q.is_empty()
-
-    def test_drain_skips_dead(self):
-        q = TransactionQueue(FCFSPriority())
-        a, b = update(at=1.0), update(at=2.0)
-        q.push(a)
-        q.push(b)
-        a.status = TxnStatus.DROPPED_SUPERSEDED
-        assert list(q.drain()) == [b]
+        assert pop_all(q) == survivors

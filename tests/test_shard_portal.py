@@ -68,12 +68,6 @@ class TestStalenessAccessor:
         db.apply_update(update, now=35.0)
         assert db.staleness_age("A", now=99.0) == 0.0
 
-    def test_max_staleness_age(self):
-        db = Database()
-        db.register_update(Update(0.0, 2.0, "A", value=1.0), now=0.0)
-        db.register_update(Update(5.0, 2.0, "B", value=1.0), now=5.0)
-        assert db.max_staleness_age(now=20.0) == 20.0
-
 
 class TestUpdateRateTracker:
     def test_single_observation_has_no_rate(self):

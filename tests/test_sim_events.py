@@ -4,7 +4,7 @@ import pytest
 
 from repro.sim import Environment
 from repro.sim.errors import EventLifecycleError
-from repro.sim.events import ConditionValue, Event, Timeout, all_of, any_of
+from repro.sim.events import Event, Timeout
 
 
 @pytest.fixture
@@ -147,106 +147,3 @@ class TestTimeout:
         env.process(waiter(env, 20, "b"))
         env.run()
         assert order == ["a", "b", "c"]
-
-
-class TestConditions:
-    def test_any_of_returns_first(self, env):
-        results = []
-
-        def proc(env):
-            fast = env.timeout(5, "fast")
-            slow = env.timeout(50, "slow")
-            value = yield any_of(env, [fast, slow])
-            results.append((env.now, list(value.todict().values())))
-
-        env.process(proc(env))
-        env.run()
-        assert results == [(5.0, ["fast"])]
-
-    def test_all_of_waits_for_all(self, env):
-        results = []
-
-        def proc(env):
-            value = yield all_of(env, [env.timeout(5, "a"),
-                                       env.timeout(9, "b")])
-            results.append((env.now, sorted(value.todict().values())))
-
-        env.process(proc(env))
-        env.run()
-        assert results == [(9.0, ["a", "b"])]
-
-    def test_all_of_empty_is_immediate(self, env):
-        fired = []
-
-        def proc(env):
-            yield all_of(env, [])
-            fired.append(env.now)
-
-        env.process(proc(env))
-        env.run()
-        assert fired == [0.0]
-
-    def test_any_of_empty_is_immediate(self, env):
-        fired = []
-
-        def proc(env):
-            yield any_of(env, [])
-            fired.append(env.now)
-
-        env.process(proc(env))
-        env.run()
-        assert fired == [0.0]
-
-    def test_condition_propagates_failure(self, env):
-        caught = []
-
-        def failer(env):
-            yield env.timeout(1)
-            raise RuntimeError("child failed")
-
-        def proc(env):
-            child = env.process(failer(env))
-            try:
-                yield all_of(env, [child, env.timeout(100)])
-            except RuntimeError as exc:
-                caught.append(str(exc))
-
-        env.process(proc(env))
-        env.run()
-        assert caught == ["child failed"]
-
-    def test_condition_rejects_foreign_events(self, env):
-        other = Environment()
-        with pytest.raises(ValueError):
-            all_of(env, [env.event(), other.event()])
-
-    def test_condition_value_mapping_interface(self, env):
-        collected = {}
-
-        def proc(env):
-            t1 = env.timeout(1, "x")
-            value = yield all_of(env, [t1])
-            collected["contains"] = t1 in value
-            collected["len"] = len(value)
-            collected["getitem"] = value[t1]
-            collected["iter"] = list(iter(value))
-
-        env.process(proc(env))
-        env.run()
-        assert collected["contains"] is True
-        assert collected["len"] == 1
-        assert collected["getitem"] == "x"
-        assert len(collected["iter"]) == 1
-
-    def test_condition_value_missing_key(self):
-        value = ConditionValue()
-        with pytest.raises(KeyError):
-            value[object()]  # noqa: B018 - exercising __getitem__
-
-    def test_condition_value_eq_dict(self, env):
-        event = Event(env)
-        event._ok = True
-        event._value = 3
-        value = ConditionValue()
-        value.events.append(event)
-        assert value == {event: 3}

@@ -67,58 +67,6 @@ class TestTally:
         assert tally.stdev == pytest.approx(tally.variance ** 0.5)
 
 
-class TestTallyMerge:
-    def test_merge_into_empty_copies(self):
-        a, b = Tally("a"), Tally("b")
-        for v in (1.0, 2.0, 3.0):
-            b.observe(v)
-        a.merge(b)
-        assert a.count == 3
-        assert a.mean == b.mean
-        assert a.variance == b.variance
-        assert (a.minimum, a.maximum) == (1.0, 3.0)
-
-    def test_merge_empty_is_noop(self):
-        a = Tally()
-        a.observe(5.0)
-        a.merge(Tally())
-        assert a.count == 1
-        assert a.mean == 5.0
-
-    def test_merge_returns_self_for_chaining(self):
-        a, b, c = Tally(), Tally(), Tally()
-        b.observe(1.0)
-        c.observe(2.0)
-        assert a.merge(b).merge(c) is a
-        assert a.count == 2
-
-    @given(st.lists(finite_floats, min_size=1, max_size=60),
-           st.lists(finite_floats, min_size=1, max_size=60))
-    @settings(max_examples=100)
-    def test_merge_matches_sequential_observation(self, left, right):
-        merged = Tally()
-        for v in left:
-            merged.observe(v)
-        other = Tally()
-        for v in right:
-            other.observe(v)
-        merged.merge(other)
-
-        sequential = Tally()
-        for v in left + right:
-            sequential.observe(v)
-
-        assert merged.count == sequential.count
-        assert merged.total == pytest.approx(sequential.total,
-                                             rel=1e-9, abs=1e-6)
-        assert merged.mean == pytest.approx(sequential.mean,
-                                            rel=1e-9, abs=1e-6)
-        assert merged.variance == pytest.approx(sequential.variance,
-                                                rel=1e-6, abs=1e-6)
-        assert merged.minimum == sequential.minimum
-        assert merged.maximum == sequential.maximum
-
-
 class TestTimeSeries:
     def test_record_and_items(self):
         series = TimeSeries("s")

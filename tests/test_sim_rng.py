@@ -108,16 +108,6 @@ class TestDistributions:
         for __ in range(20):
             assert 1 <= rng.zipf_rank(n, theta) <= n
 
-    def test_bounded_pareto_within_bounds(self):
-        rng = RandomStream(4, "p")
-        for __ in range(1000):
-            value = rng.bounded_pareto(1.5, 1.0, 100.0)
-            assert 1.0 <= value <= 100.0 + 1e-9
-
-    def test_bounded_pareto_rejects_bad_bounds(self):
-        with pytest.raises(ValueError):
-            RandomStream(0, "p").bounded_pareto(1.5, 10.0, 1.0)
-
     def test_repr_contains_name(self):
         assert "quotes" in repr(RandomStream(0, "quotes"))
 

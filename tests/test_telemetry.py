@@ -8,6 +8,7 @@ Chrome-trace schema validity, the disabled path being a strict no-op,
 and byte-identical simulation results with telemetry on or off.
 """
 
+import csv
 import dataclasses
 import json
 
@@ -140,12 +141,6 @@ class TestDeterminism:
             assert on.rho_series.times == off.rho_series.times
             assert on.rho_series.values == off.rho_series.values
 
-    def test_disabled_config_is_noop(self, trace):
-        result = run_simulation(make_scheduler("QUTS"), trace,
-                                QCFactory.balanced(), master_seed=1,
-                                telemetry=TelemetryConfig(enabled=False))
-        assert result.telemetry is None
-
     def test_none_knob_leaves_no_probes(self, trace):
         scheduler = make_scheduler("QUTS")
         result = run_simulation(scheduler, trace, QCFactory.balanced(),
@@ -155,18 +150,12 @@ class TestDeterminism:
 
     def test_from_knob_coercions(self):
         assert TelemetrySession.from_knob(None) is None
-        assert TelemetrySession.from_knob(False) is None
-        assert TelemetrySession.from_knob(
-            TelemetryConfig(enabled=False)) is None
-        session = TelemetrySession.from_knob(True)
+        session = TelemetrySession.from_knob(TelemetryConfig())
         assert isinstance(session, TelemetrySession)
         assert TelemetrySession.from_knob(session) is session
-        with pytest.raises(TypeError):
-            TelemetrySession.from_knob("yes")  # type: ignore[arg-type]
-
-    def test_tracer_from_disabled_config_is_none(self):
-        assert Tracer.from_config(None) is None
-        assert Tracer.from_config(TelemetryConfig(enabled=False)) is None
+        for knob in (True, False, "yes"):
+            with pytest.raises(TypeError):
+                TelemetrySession.from_knob(knob)  # type: ignore[arg-type]
 
     def test_environment_observer_defaults_off(self):
         assert Environment().telemetry is None
@@ -331,24 +320,13 @@ class TestRegistry:
             gauge.record(float(t), float(t))
         assert len(gauge) <= 16
 
-    def test_histogram_buckets_and_merge(self):
+    def test_histogram_buckets(self):
         registry = MetricsRegistry()
         h = registry.histogram("rt", boundaries=(1.0, 10.0))
         for v in (0.5, 5.0, 50.0):
             h.observe(v)
-        assert sum(h.counts) == 3
-        other = MetricsRegistry()
-        other.histogram("rt", boundaries=(1.0, 10.0)).observe(2.0)
-        registry.merge(other)
-        assert sum(registry.histograms()["rt"].counts) == 4
-
-    def test_merge_adds_counters(self):
-        a, b = MetricsRegistry(), MetricsRegistry()
-        a.counter("x").increment(1)
-        b.counter("x").increment(2)
-        b.counter("y").increment(5)
-        a.merge(b)
-        assert a.counter_values() == {"x": 3, "y": 5}
+        assert h.counts == [1, 1, 1]
+        assert registry.histograms()["rt"] is h
 
     def test_kernel_probe_counts_flushed(self, trace):
         result = run_traced(trace)
@@ -387,6 +365,19 @@ class TestSummaryAndCli:
         assert payload["traceEvents"]
         assert payload["otherData"]["fig"] == 5
 
+    def test_trace_cli_writes_series_csv(self, tmp_path, capsys):
+        out, table = tmp_path / "trace.json", tmp_path / "series.csv"
+        assert cli_main(["trace", "run", "--scale", "smoke", "--out",
+                         str(out), "--csv", str(table)]) == 0
+        capsys.readouterr()
+        with table.open(newline="") as handle:
+            rows = list(csv.reader(handle))
+        assert rows[0] == ["series", "t_ms", "value"]
+        assert any(row[0] == "server/sched/rho" for row in rows[1:])
+        for __, t_ms, value in rows[1:]:
+            float(t_ms)
+            float(value)
+
     def test_trace_cli_rejects_unknown_category(self, tmp_path):
         with pytest.raises(SystemExit):
             cli_main(["trace", "run", "--categories", "bogus",
@@ -395,10 +386,6 @@ class TestSummaryAndCli:
     def test_all_categories_exported(self):
         assert CATEGORIES == {"txn", "sched", "cluster", "kernel",
                               "shard"}
-
-    def test_session_rejects_disabled_config(self):
-        with pytest.raises(ValueError):
-            TelemetrySession(TelemetryConfig(enabled=False))
 
     def test_kernel_probe_is_event_observer(self):
         probe = KernelProbe(MetricsRegistry().scoped("kernel"))
