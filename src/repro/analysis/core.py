@@ -432,7 +432,11 @@ class LintConfig:
         pyproject = root / "pyproject.toml"
         if not pyproject.is_file():
             return cls()
-        import tomllib
+        try:
+            import tomllib
+        except ModuleNotFoundError:
+            # Python 3.10: the same API, from PyPI.
+            import tomli as tomllib  # type: ignore[import-not-found,no-redef]
         try:
             data = tomllib.loads(pyproject.read_text())
         except tomllib.TOMLDecodeError as exc:

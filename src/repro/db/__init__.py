@@ -5,7 +5,7 @@ from .admission import (AdmissionPolicy, AdmitAll, OverloadShedding,
                         ProfitAwareAdmission)
 from .database import Database
 from .items import DataItem
-from .locks import (AcquireOutcome, AcquireResult, LockManager, LockMode)
+from .locks import AcquireResult, LockManager, LockMode
 from .server import DatabaseServer, ServerConfig
 from .transactions import (LIVE_STATUSES, Query, Transaction, TxnStatus,
                            Update)
@@ -16,7 +16,6 @@ __all__ = [
     "DurabilityConfig",
     "WalRecord",
     "WriteAheadLog",
-    "AcquireOutcome",
     "AcquireResult",
     "AdmissionPolicy",
     "AdmitAll",

@@ -1,24 +1,30 @@
 """Two-Phase Locking with High Priority (2PL-HP) lock manager.
 
-2PL-HP (Abbott & Garcia-Molina) resolves a conflict by comparing transaction
-priorities: when a requester has higher priority than a conflicting holder,
-the holder is **restarted** (it releases its locks and loses its progress);
-otherwise the requester **blocks** until the locks free up.
+2PL-HP (Abbott & Garcia-Molina) compares priorities at a conflict: a
+requester that outranks the holder **restarts** it (the holder releases its
+locks and loses its progress); an outranked requester would wait.
+
+On the paper's single CPU no requester is ever outranked.  The requester is
+the transaction the scheduler has just dispatched, and every conflicting
+holder is one the CPU has left (after a quantum expiry or a preemption) and
+put back in its queue.  Each policy dispatches a class only when no
+higher-priority work is queued: UH and QH serve their low class only on an
+empty high queue, QUTS only the class owning the current slot (switching
+the slot when it falls back), and FIFO never suspends at all.  So one rule
+suffices: **every conflicting holder is restarted**, and no requester ever
+waits.  ``tests/test_lock_census.py`` checks each policy's full priority
+rule at every conflict of randomized runs.
 
 In this system (read-only queries, blind single-item updates):
 
 * read/read never conflicts;
 * read/write and write/read are the interesting cases — they arise when a
-  preempted (suspended) transaction still holds locks while a newly scheduled
-  one needs them;
+  suspended transaction still holds locks while a newly dispatched one
+  needs them;
 * write/write cannot reach the lock manager at all, because the update
   register table (:meth:`~repro.db.database.Database.register_update`)
   already dropped the older update on arrival of the newer one — exactly the
   paper's write-write rule.
-
-Priorities are *policy-defined*: the scheduler supplies a
-``has_priority(requester, holder)`` predicate, so each scheduling policy
-(UH, QH, QUTS, ...) induces its own conflict resolution, as in the paper.
 
 Locks are acquired conservatively (a transaction's full read/write set is
 known upfront from the trace) and held until commit, abort, or restart.
@@ -31,8 +37,6 @@ import typing
 
 from .transactions import Transaction
 
-PriorityPredicate = typing.Callable[[Transaction, Transaction], bool]
-
 
 class LockMode(enum.Enum):
     READ = "read"
@@ -43,39 +47,21 @@ def _compatible(held: LockMode, requested: LockMode) -> bool:
     return held is LockMode.READ and requested is LockMode.READ
 
 
-class AcquireOutcome(enum.Enum):
-    """Result of a lock-acquisition attempt."""
-
-    #: All locks granted; the transaction may run.
-    GRANTED = "granted"
-    #: A higher-priority holder exists; the requester must wait.
-    BLOCKED = "blocked"
-
-
 class AcquireResult(typing.NamedTuple):
-    """Outcome of :meth:`LockManager.acquire_all` plus its side effects.
+    """What :meth:`LockManager.acquire_all` did besides granting.
 
-    Immutable: the uncontended grant is one shared instance.
+    Immutable: every grant that restarts no one is one shared instance.
     """
 
-    outcome: AcquireOutcome
-    #: Lower-priority holders that were restarted to make room.
+    #: Conflicting holders that were restarted to make room.
     restarted: tuple[Transaction, ...] = ()
-    #: Higher-priority holders the requester is now waiting on.
+    #: Always empty: no requester waits (see the module docstring).  Kept
+    #: because benchmark tooling reads it.
     blocking_holders: tuple[Transaction, ...] = ()
-
-    @property
-    def granted(self) -> bool:
-        return self.outcome is AcquireOutcome.GRANTED
-
-    def __repr__(self) -> str:
-        return (f"<AcquireResult {self.outcome.value} "
-                f"restarted={len(self.restarted)} "
-                f"blocked_on={len(self.blocking_holders)}>")
 
 
 #: What every conflict-free acquisition returns.
-_GRANTED = AcquireResult(AcquireOutcome.GRANTED)
+_GRANTED = AcquireResult()
 
 
 class _LockEntry:
@@ -87,30 +73,19 @@ class _LockEntry:
 
 
 class LockManager:
-    """Tracks per-item locks and applies the 2PL-HP resolution rule."""
+    """Tracks per-item locks and applies the 2PL-HP restart rule."""
 
-    def __init__(self, has_priority: PriorityPredicate | None = None) -> None:
+    def __init__(self) -> None:
         #: item key -> lock entry
         self._table: dict[str, _LockEntry] = {}
         #: txn -> set of keys it holds locks on
         self._held: dict[Transaction, set[str]] = {}
-        #: Policy predicate: does `requester` outrank `holder`?  The default
-        #: (always True) matches every policy in the paper, where the
-        #: currently scheduled transaction is by construction the
-        #: highest-priority one.
-        self._has_priority: PriorityPredicate = (
-            has_priority if has_priority is not None
-            else (lambda requester, holder: True))
         self.conflicts = 0
         self.restarts_caused = 0
-        self.blocks_caused = 0
 
     def __repr__(self) -> str:
         return (f"<LockManager locked_items={len(self._table)} "
                 f"conflicts={self.conflicts}>")
-
-    def set_priority_predicate(self, predicate: PriorityPredicate) -> None:
-        self._has_priority = predicate
 
     # ------------------------------------------------------------------
     def locks_of(self, txn: Transaction) -> frozenset[str]:
@@ -128,25 +103,22 @@ class LockManager:
     # ------------------------------------------------------------------
     def acquire_all(self, txn: Transaction,
                     mode: LockMode) -> AcquireResult:
-        """Try to lock the transaction's whole item set in ``mode``.
+        """Lock the transaction's whole item set in ``mode``.
 
-        Applies 2PL-HP: conflicting lower-priority holders are restarted
-        (their locks released, their progress reset by the caller via the
-        returned list); if *any* conflicting holder outranks the requester,
-        nothing is acquired and the requester must block.
+        Every conflicting holder is restarted: its locks are released
+        here, and the caller resets its progress and requeues it from the
+        returned ``restarted`` tuple.  The request is always granted.
         """
         keys = txn.touched_items()
         if len(keys) == 1 and keys[0] not in self._table:
             # Uncontended single-item request (>99.9 % of a paper-scale
-            # run): an absent entry means no holders, so there is nothing
-            # to compare priorities against.
+            # run): an absent entry means no holders to restart.
             self._table[keys[0]] = _LockEntry(mode, {txn})
             self._held.setdefault(txn, set()).update(keys)
             return _GRANTED
 
-        # First pass: find conflicts and split them by priority.
+        # First pass: find the conflicting holders.
         to_restart: list[Transaction] = []
-        blockers: list[Transaction] = []
         for key in keys:
             entry = self._table.get(key)
             if entry is None or not entry.holders:
@@ -154,19 +126,9 @@ class LockManager:
             if _compatible(entry.mode, mode) or entry.holders == {txn}:
                 continue
             for holder in entry.holders:
-                if holder is txn:
-                    continue
-                self.conflicts += 1
-                if self._has_priority(txn, holder):
+                if holder is not txn:
+                    self.conflicts += 1
                     to_restart.append(holder)
-                else:
-                    blockers.append(holder)
-
-        if blockers:
-            self.blocks_caused += 1
-            return AcquireResult(AcquireOutcome.BLOCKED,
-                                 blocking_holders=tuple(dict.fromkeys(
-                                     blockers)))
 
         # Restart the losers (release their locks); the caller resets their
         # progress and requeues them.
@@ -187,7 +149,7 @@ class LockManager:
             if mode is LockMode.WRITE:
                 entry.mode = LockMode.WRITE
         self._held.setdefault(txn, set()).update(keys)
-        return AcquireResult(AcquireOutcome.GRANTED, restarted=restarted)
+        return AcquireResult(restarted) if restarted else _GRANTED
 
     def release_all(self, txn: Transaction) -> frozenset[str]:
         """Release every lock held by ``txn``; returns the freed keys."""

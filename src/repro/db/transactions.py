@@ -38,8 +38,6 @@ class TxnStatus(enum.Enum):
     RUNNING = "running"
     #: Preempted mid-execution; keeps its locks and remaining service time.
     SUSPENDED = "suspended"
-    #: Waiting for a lock held by a higher-priority transaction.
-    BLOCKED = "blocked"
     #: Finished successfully.
     COMMITTED = "committed"
     #: Query only: exceeded its maximum lifetime and was discarded.
@@ -59,7 +57,7 @@ class TxnStatus(enum.Enum):
 #: Statuses from which a transaction can still reach the CPU.
 LIVE_STATUSES = frozenset({
     TxnStatus.CREATED, TxnStatus.QUEUED, TxnStatus.RUNNING,
-    TxnStatus.SUSPENDED, TxnStatus.BLOCKED,
+    TxnStatus.SUSPENDED,
 })
 for _member in TxnStatus:
     _member.live = _member in LIVE_STATUSES

@@ -64,9 +64,9 @@ class FaultIncident:
         if self.replica < 0:
             raise ValueError(
                 f"replica must be non-negative, got {self.replica}")
-        if self.at_ms < 0:
+        if not self.at_ms >= 0:
             raise ValueError(f"at_ms must be >= 0, got {self.at_ms}")
-        if self.duration_ms <= 0:
+        if not self.duration_ms > 0:
             raise ValueError(
                 f"duration_ms must be positive, got {self.duration_ms}")
 

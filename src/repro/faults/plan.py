@@ -74,7 +74,7 @@ class FaultEvent:
         if self.kind not in KINDS:
             raise ValueError(f"unknown fault kind {self.kind!r}; "
                              f"choose from {sorted(KINDS)}")
-        if self.at_ms < 0:
+        if not self.at_ms >= 0:
             raise ValueError(f"fault time must be >= 0, got {self.at_ms}")
         if self.kind in REPLICA_KINDS:
             if self.replica is None or self.replica < 0:
@@ -83,17 +83,17 @@ class FaultEvent:
                     f"got {self.replica!r}")
         elif self.replica is not None:
             raise ValueError(f"{self.kind!r} does not target a replica")
-        if self.kind == SPIKE_START and self.magnitude < 1.0:
+        if self.kind == SPIKE_START and not self.magnitude >= 1.0:
             raise ValueError(
                 f"spike magnitude must be >= 1, got {self.magnitude}")
-        if self.kind == SLOW_REPLICA and self.magnitude <= 1.0:
+        if self.kind == SLOW_REPLICA and not self.magnitude > 1.0:
             raise ValueError(
                 f"slowdown factor must be > 1, got {self.magnitude}")
-        if self.kind == DELAY_UPDATES and self.magnitude <= 0.0:
+        if self.kind == DELAY_UPDATES and not self.magnitude > 0.0:
             raise ValueError(
                 f"delay_updates needs a positive delay (ms) in "
                 f"magnitude, got {self.magnitude}")
-        if self.kind == CORRUPT_WAL and self.magnitude < 1.0:
+        if self.kind == CORRUPT_WAL and not self.magnitude >= 1.0:
             raise ValueError(
                 f"corrupt_wal needs a record count >= 1 in magnitude, "
                 f"got {self.magnitude}")

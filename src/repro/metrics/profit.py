@@ -141,8 +141,13 @@ class ProfitLedger:
 
     @property
     def total_percent(self) -> float:
-        """``Q / Qmax``: the total height of the figures' stacked bars."""
-        return self.total_gained / self.total_max if self.total_max else 0.0
+        """``Q / Qmax``: the total height of the figures' stacked bars.
+
+        The gained sums are added in commit order and the maxima in
+        arrival order, so earning everything can overshoot 1 by an ulp.
+        """
+        return (min(1.0, self.total_gained / self.total_max)
+                if self.total_max else 0.0)
 
     @property
     def qos_max_percent(self) -> float:

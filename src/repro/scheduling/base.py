@@ -1,9 +1,9 @@
 """The DES-facing scheduler interface the database server drives.
 
 The decision contract itself — queues, ``next_transaction``,
-``preempts``, ``quantum``, ``has_lock_priority`` — lives on the
-clock-agnostic :class:`repro.scheduling.core.SchedulerCore`, which both
-the simulator and the live gateway (:mod:`repro.serve`) drive.
+``preempts``, ``quantum`` — lives on the clock-agnostic
+:class:`repro.scheduling.core.SchedulerCore`, which both the simulator
+and the live gateway (:mod:`repro.serve`) drive.
 :class:`Scheduler` is the DES binding: ``bind`` hands the core its
 environment wrapped in a :class:`~repro.scheduling.core.DESClock`
 (clock + RNG streams) before the simulation starts; QUTS uses it to

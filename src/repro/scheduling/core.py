@@ -1,11 +1,11 @@
 """Clock-agnostic scheduler core: one decision engine, two worlds.
 
 The scheduling policies (FIFO, UH/QH, QUTS, ...) are pure decision
-logic — "who gets the CPU now, for how long, and who wins a lock
-conflict".  Nothing in those decisions requires a *simulated* clock;
-they only need (a) a monotonically non-decreasing ``now`` in
-milliseconds and (b) a way to schedule a periodic callback (QUTS's
-ρ-adaptation every ω ms).
+logic — "who gets the CPU now, and for how long" (the transaction
+dispatched wins every lock conflict; see :mod:`repro.db.locks`).
+Nothing in those decisions requires a *simulated* clock; they only need
+(a) a monotonically non-decreasing ``now`` in milliseconds and (b) a
+way to schedule a periodic callback (QUTS's ρ-adaptation every ω ms).
 
 :class:`SchedulerClock` captures exactly that surface.  The DES binds a
 policy to simulated time via :class:`DESClock` (bit-identical to the
@@ -87,7 +87,7 @@ class DESClock:
 class SchedulerCore:
     """Clock-agnostic scheduling policy: queues + decisions, no kernel.
 
-    A core owns the waiting transactions and answers four questions:
+    A core owns the waiting transactions and answers three questions:
 
     * ``next_transaction(now)`` — which transaction should get the CPU
       now?
@@ -97,12 +97,10 @@ class SchedulerCore:
       transaction run before the scheduler wants to make a new decision
       (``inf`` for run-to-completion policies; the remaining atom-time
       slot for QUTS)?
-    * ``has_lock_priority(requester, holder)`` — the 2PL-HP priority
-      predicate induced by this policy.
 
     The driver (DES server or live gateway) calls ``submit_query`` /
-    ``submit_update`` on arrivals and ``requeue`` when a preempted,
-    restarted, or unblocked transaction must wait again.
+    ``submit_update`` on arrivals and ``requeue`` when a preempted or
+    restarted transaction must wait again.
     ``bind_clock`` hands the core its world's clock + RNG streams
     before work starts; QUTS uses it to register its ρ-adaptation
     callback.  The same core instance can drive the simulator
@@ -153,7 +151,7 @@ class SchedulerCore:
         raise NotImplementedError
 
     def requeue(self, txn: Transaction) -> None:
-        """Put a preempted/restarted/unblocked transaction back in line."""
+        """Put a preempted or restarted transaction back in line."""
         if isinstance(txn, Query):
             self.submit_query(txn)
         elif isinstance(txn, Update):
@@ -184,15 +182,6 @@ class SchedulerCore:
     def quantum(self, running: Transaction, now: float) -> float:
         """Maximum uninterrupted slice for ``running`` (default: no limit)."""
         return Infinity
-
-    def has_lock_priority(self, requester: Transaction,
-                          holder: Transaction) -> bool:
-        """2PL-HP predicate: does ``requester`` outrank ``holder``?
-
-        In every policy of the paper the transaction holding the CPU is the
-        highest-priority one, so the default is True (restart the holder).
-        """
-        return True
 
     # ------------------------------------------------------------------
     # Introspection (used by tests and reports)

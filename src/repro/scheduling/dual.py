@@ -80,15 +80,6 @@ class DualQueueScheduler(Scheduler):
             return arrival.is_update and running.is_query
         return arrival.is_query and running.is_update
 
-    def has_lock_priority(self, requester: Transaction,
-                          holder: Transaction) -> bool:
-        """Fixed class priority; within a class the scheduled txn wins."""
-        if requester.is_update and holder.is_query:
-            return self.high == "update"
-        if requester.is_query and holder.is_update:
-            return self.high == "query"
-        return True
-
     # ------------------------------------------------------------------
     def pending_queries(self) -> int:
         return len(self._queries)

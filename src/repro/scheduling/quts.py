@@ -239,19 +239,6 @@ class QUTSScheduler(Scheduler):
         (or on queue-empty, which the executor handles naturally)."""
         return False
 
-    def has_lock_priority(self, requester: Transaction,
-                          holder: Transaction) -> bool:
-        """The class owning the current slot wins 2PL-HP conflicts."""
-        requester_owns_slot = (
-            (requester.is_query and self._state == "query")
-            or (requester.is_update and self._state == "update"))
-        if requester_owns_slot:
-            return True
-        holder_owns_slot = (
-            (holder.is_query and self._state == "query")
-            or (holder.is_update and self._state == "update"))
-        return not holder_owns_slot
-
     # ------------------------------------------------------------------
     def pending_queries(self) -> int:
         return len(self._queries)

@@ -52,10 +52,9 @@ TXN_ARRIVE = "arrive"          #: submitted to a server
 TXN_QUEUE = "queue"            #: entered a scheduler queue
 TXN_REJECT = "reject"          #: declined by admission control (terminal)
 TXN_START = "start"            #: first time on the CPU
-TXN_RESUME = "resume"          #: back on the CPU after suspend/block
+TXN_RESUME = "resume"          #: back on the CPU after a suspension
 TXN_PREEMPT = "preempt"        #: kicked off the CPU by an arrival
 TXN_SUSPEND = "suspend"        #: quantum expired, progress kept
-TXN_BLOCK = "block"            #: waiting on a 2PL-HP lock
 TXN_RESTART = "restart"        #: 2PL-HP abort, progress lost
 TXN_COMMIT = "commit"          #: finished successfully (terminal)
 TXN_EXPIRE = "expire"          #: query past its QC lifetime (terminal)

@@ -177,9 +177,6 @@ class ServerProbe:
     def suspend(self, now: float, txn: "Transaction") -> None:
         self._mark(now, ev.TXN_SUSPEND, txn)
 
-    def block(self, now: float, txn: "Transaction") -> None:
-        self._mark(now, ev.TXN_BLOCK, txn)
-
     def restart(self, now: float, txn: "Transaction") -> None:
         self._mark(now, ev.TXN_RESTART, txn)
 

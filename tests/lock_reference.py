@@ -1,24 +1,32 @@
-"""Reference 2PL-HP lock manager: the two-pass algorithm and nothing else.
+"""Reference 2PL-HP lock manager and the policies' 2PL-HP priorities.
 
 ``repro.db.locks.LockManager`` answers the uncontended single-item case
-on a fast path; this oracle has no such path, so the differential tests
-in ``test_db_locks.py`` can hold the production manager to it step by
-step.  It shares no code with the production module beyond ``LockMode``.
+on a fast path; :class:`ReferenceLockManager` has no such path, so the
+differential tests in ``test_db_locks.py`` can hold the production
+manager to it step by step.  It shares no code with the production
+module beyond ``LockMode``.
+
+The production manager restarts every conflicting holder, because the
+transaction the scheduler dispatched outranks every holder that is off
+the CPU.  :func:`lock_priority` is the full 2PL-HP priority rule each
+policy induces ("does ``requester`` outrank ``holder``?");
+``test_lock_census.py`` asserts it holds at every conflict of real runs,
+which is what licenses the one-rule manager.
 """
 
 from repro.db.locks import LockMode
+from repro.scheduling.dual import DualQueueScheduler
+from repro.scheduling.quts import QUTSScheduler
 
 
 class ReferenceLockManager:
     """Every request walks both passes; results are plain tuples."""
 
-    def __init__(self, has_priority):
+    def __init__(self):
         self._table = {}   # key -> [mode, set of holders]
         self._held = {}    # txn -> set of keys
-        self._has_priority = has_priority
         self.conflicts = 0
         self.restarts_caused = 0
-        self.blocks_caused = 0
 
     def locks_of(self, txn):
         return frozenset(self._held.get(txn, ()))
@@ -31,9 +39,9 @@ class ReferenceLockManager:
         return self._table[key][0] if key in self._table else None
 
     def acquire_all(self, txn, mode):
-        """Returns ``(granted, restarted, blocking_holders)``."""
+        """Grants the request; returns the restarted holders."""
         keys = txn.touched_items()
-        to_restart, blockers = [], []
+        to_restart = []
         for key in keys:
             if key not in self._table:
                 continue
@@ -45,13 +53,7 @@ class ReferenceLockManager:
                 if holder is txn:
                     continue
                 self.conflicts += 1
-                if self._has_priority(txn, holder):
-                    to_restart.append(holder)
-                else:
-                    blockers.append(holder)
-        if blockers:
-            self.blocks_caused += 1
-            return False, (), tuple(dict.fromkeys(blockers))
+                to_restart.append(holder)
         restarted = tuple(dict.fromkeys(to_restart))
         for loser in restarted:
             self.release_all(loser)
@@ -62,7 +64,7 @@ class ReferenceLockManager:
                 entry[0] = mode
             entry[1].add(txn)
         self._held.setdefault(txn, set()).update(keys)
-        return True, restarted, ()
+        return restarted
 
     def release_all(self, txn):
         keys = self._held.pop(txn, set())
@@ -72,3 +74,48 @@ class ReferenceLockManager:
             if not holders:
                 del self._table[key]
         return frozenset(keys)
+
+
+# ----------------------------------------------------------------------
+# The 2PL-HP priority each policy induces
+# ----------------------------------------------------------------------
+def default_lock_priority(scheduler, requester, holder):
+    """In every policy of the paper the transaction holding the CPU is the
+    highest-priority one, so the default is True (restart the holder)."""
+    return True
+
+
+def dual_lock_priority(scheduler, requester, holder):
+    """UH / QH: fixed class priority; within a class the scheduled txn
+    wins."""
+    if requester.is_update and holder.is_query:
+        return scheduler.high == "update"
+    if requester.is_query and holder.is_update:
+        return scheduler.high == "query"
+    return True
+
+
+def quts_lock_priority(scheduler, requester, holder):
+    """QUTS: the class owning the current slot wins 2PL-HP conflicts."""
+    state = scheduler.current_state
+    requester_owns_slot = (
+        (requester.is_query and state == "query")
+        or (requester.is_update and state == "update"))
+    if requester_owns_slot:
+        return True
+    holder_owns_slot = (
+        (holder.is_query and state == "query")
+        or (holder.is_update and state == "update"))
+    return not holder_owns_slot
+
+
+def lock_priority(scheduler, requester, holder):
+    """Does ``requester`` outrank ``holder`` under ``scheduler``'s
+    policy?"""
+    if isinstance(scheduler, QUTSScheduler):
+        rule = quts_lock_priority
+    elif isinstance(scheduler, DualQueueScheduler):
+        rule = dual_lock_priority
+    else:
+        rule = default_lock_priority
+    return rule(scheduler, requester, holder)

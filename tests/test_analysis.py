@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import json
 import pathlib
+import sys
 import textwrap
+import types
 
 import pytest
 
@@ -403,6 +405,26 @@ class TestFramework:
         skipped.write_text("import random\n")
         findings = lint_paths([tmp_path])
         assert findings == []
+
+    def test_allowlist_loaded_without_stdlib_tomllib(self, tmp_path,
+                                                     monkeypatch):
+        """Python 3.10 has no ``tomllib``; the config reader falls back to
+        ``tomli``, which has the same API."""
+        import tomllib
+        stand_in = types.ModuleType("tomli")
+        stand_in.loads = tomllib.loads
+        stand_in.TOMLDecodeError = tomllib.TOMLDecodeError
+        monkeypatch.setitem(sys.modules, "tomllib", None)
+        monkeypatch.setitem(sys.modules, "tomli", stand_in)
+        (tmp_path / "pyproject.toml").write_text(textwrap.dedent("""\
+            [tool.repro.lint.allow]
+            no-wall-clock = ["bench"]
+            """))
+        config = LintConfig.load(tmp_path)
+        assert config.allow == {"no-wall-clock": ("bench",)}
+        (tmp_path / "pyproject.toml").write_text("[tool.repro\n")
+        with pytest.raises(LintUsageError):
+            LintConfig.load(tmp_path)
 
     def test_syntax_error_becomes_finding(self, tmp_path):
         bad = tmp_path / "broken.py"

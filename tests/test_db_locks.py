@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.db.locks import AcquireOutcome, LockManager, LockMode
+from repro.db.locks import LockManager, LockMode
 from repro.db.transactions import Query, Update
 from repro.qc.contracts import QualityContract
 from tests.lock_reference import ReferenceLockManager
@@ -24,22 +24,22 @@ class TestGrants:
         locks = LockManager()
         q = query(("A", "B"))
         result = locks.acquire_all(q, LockMode.READ)
-        assert result.granted
+        assert result.restarted == ()
         assert locks.locks_of(q) == {"A", "B"}
         assert locks.mode_of("A") is LockMode.READ
 
     def test_uncontended_write_grant(self):
         locks = LockManager()
         u = update("A")
-        assert locks.acquire_all(u, LockMode.WRITE).granted
+        assert locks.acquire_all(u, LockMode.WRITE).restarted == ()
+        assert locks.locks_of(u) == {"A"}
         assert locks.mode_of("A") is LockMode.WRITE
 
     def test_shared_reads_compatible(self):
         locks = LockManager()
         q1, q2 = query(("A",)), query(("A",))
-        assert locks.acquire_all(q1, LockMode.READ).granted
-        result = locks.acquire_all(q2, LockMode.READ).granted
-        assert result
+        assert locks.acquire_all(q1, LockMode.READ).restarted == ()
+        assert locks.acquire_all(q2, LockMode.READ).restarted == ()
         assert locks.holders_of("A") == {q1, q2}
         assert locks.conflicts == 0
 
@@ -49,68 +49,48 @@ class TestGrants:
         q = query(("A", "B"))
         locks.acquire_all(q, LockMode.READ)
         result = locks.acquire_all(q, LockMode.READ)
-        assert result.granted
         assert result.restarted == ()
         assert locks.locks_of(q) == {"A", "B"}
 
 
 class TestConflictResolution:
+    """The dispatched requester outranks every holder off the CPU, so
+    every conflict restarts the holder and the request is granted."""
+
     def test_high_priority_requester_restarts_holder(self):
-        locks = LockManager(has_priority=lambda r, h: True)
+        locks = LockManager()
         q = query(("A",))
         u = update("A")
         locks.acquire_all(q, LockMode.READ)
         result = locks.acquire_all(u, LockMode.WRITE)
-        assert result.granted
         assert result.restarted == (q,)
+        assert result.blocking_holders == ()
         assert locks.locks_of(q) == frozenset()
         assert locks.holders_of("A") == {u}
         assert locks.restarts_caused == 1
 
-    def test_low_priority_requester_blocks(self):
-        locks = LockManager(has_priority=lambda r, h: False)
-        q = query(("A",))
+    def test_read_requester_restarts_write_holder(self):
+        locks = LockManager()
         u = update("A")
-        locks.acquire_all(q, LockMode.READ)
-        result = locks.acquire_all(u, LockMode.WRITE)
-        assert result.outcome is AcquireOutcome.BLOCKED
-        assert result.blocking_holders == (q,)
-        # Nothing acquired for the blocked requester.
-        assert locks.locks_of(u) == frozenset()
-        assert locks.holders_of("A") == {q}
-        assert locks.blocks_caused == 1
-
-    def test_write_blocks_read_when_holder_outranks(self):
-        locks = LockManager(has_priority=lambda r, h: False)
-        u = update("A")
-        q = query(("A",))
+        q = query(("A", "B"))
         locks.acquire_all(u, LockMode.WRITE)
         result = locks.acquire_all(q, LockMode.READ)
-        assert not result.granted
+        assert result.restarted == (u,)
+        assert locks.locks_of(u) == frozenset()
+        assert locks.locks_of(q) == {"A", "B"}
+        assert locks.mode_of("A") is LockMode.READ
+        assert locks.restarts_caused == 1
 
     def test_multiple_holders_all_restarted(self):
         locks = LockManager()
         q1, q2 = query(("A",)), query(("A",))
         locks.acquire_all(q1, LockMode.READ)
         locks.acquire_all(q2, LockMode.READ)
-        result = locks.acquire_all(update("A"), LockMode.WRITE)
-        assert result.granted
+        u = update("A")
+        result = locks.acquire_all(u, LockMode.WRITE)
         assert set(result.restarted) == {q1, q2}
-
-    def test_mixed_blockers_and_losers_block_wins(self):
-        """If any conflicting holder outranks the requester, nothing is
-        restarted and the requester blocks."""
-        q1, q2 = query(("A",)), query(("A",))
-        # q1 outranks everything, q2 outranks nothing.
-        locks = LockManager(
-            has_priority=lambda r, h: h is q2)
-        locks.acquire_all(q1, LockMode.READ)
-        locks.acquire_all(q2, LockMode.READ)
-        result = locks.acquire_all(update("A"), LockMode.WRITE)
-        assert not result.granted
-        assert q1 in result.blocking_holders
-        # The weaker holder must NOT have been restarted.
-        assert locks.holders_of("A") == {q1, q2}
+        assert locks.holders_of("A") == {u}
+        assert locks.restarts_caused == 2
 
     def test_conflict_counter_increments(self):
         locks = LockManager()
@@ -142,22 +122,16 @@ class TestRelease:
         assert locks.holders_of("A") == {q2}
 
     def test_grant_after_release(self):
-        locks = LockManager(has_priority=lambda r, h: False)
+        """A released holder is no longer a conflict: the next request
+        is granted without restarting anyone."""
+        locks = LockManager()
         q = query(("A",))
         u = update("A")
         locks.acquire_all(q, LockMode.READ)
-        assert not locks.acquire_all(u, LockMode.WRITE).granted
         locks.release_all(q)
-        assert locks.acquire_all(u, LockMode.WRITE).granted
-
-
-class TestPriorityPredicateSwap:
-    def test_set_priority_predicate(self):
-        locks = LockManager(has_priority=lambda r, h: False)
-        locks.acquire_all(query(("A",)), LockMode.READ)
-        assert not locks.acquire_all(update("A"), LockMode.WRITE).granted
-        locks.set_priority_predicate(lambda r, h: True)
-        assert locks.acquire_all(update("A"), LockMode.WRITE).granted
+        assert locks.acquire_all(u, LockMode.WRITE).restarted == ()
+        assert (locks.conflicts, locks.restarts_caused) == (0, 0)
+        assert locks.holders_of("A") == {u}
 
 
 class TestSharedGrantIsImmutable:
@@ -167,24 +141,17 @@ class TestSharedGrantIsImmutable:
     def test_fields_cannot_be_rebound(self):
         locks = LockManager()
         result = locks.acquire_all(update("A"), LockMode.WRITE)
-        for field, value in (("outcome", AcquireOutcome.BLOCKED),
-                             ("restarted", (update("A"),)),
+        for field, value in (("restarted", (update("A"),)),
                              ("blocking_holders", (update("A"),)),
                              ("extra", 1)):
             with pytest.raises(AttributeError):
                 setattr(result, field, value)
         again = locks.acquire_all(update("B"), LockMode.WRITE)
-        assert again.granted
+        assert again is result
         assert again.restarted == () and again.blocking_holders == ()
 
 
 KEYS = ("A", "B", "C", "D")
-PREDICATES = {
-    "always": lambda requester, holder: True,
-    "never": lambda requester, holder: False,
-    "updates-win": lambda requester, holder: (requester.is_update
-                                              and holder.is_query),
-}
 
 
 class TestDifferentialAgainstReference:
@@ -193,7 +160,6 @@ class TestDifferentialAgainstReference:
     every observable after every step of any program."""
 
     @given(
-        predicate=st.sampled_from(sorted(PREDICATES)),
         read_sets=st.lists(
             st.lists(st.sampled_from(KEYS), min_size=1, max_size=3,
                      unique=True), min_size=1, max_size=4),
@@ -204,13 +170,12 @@ class TestDifferentialAgainstReference:
             st.sampled_from([None, LockMode.READ, LockMode.WRITE])),
             max_size=60))
     @settings(max_examples=300, deadline=None)
-    def test_same_observables_after_every_step(self, predicate, read_sets,
+    def test_same_observables_after_every_step(self, read_sets,
                                                write_keys, program):
         pool = ([query(tuple(items)) for items in read_sets]
                 + [update(key) for key in write_keys])
-        has_priority = PREDICATES[predicate]
-        real = LockManager(has_priority)
-        oracle = ReferenceLockManager(has_priority)
+        real = LockManager()
+        oracle = ReferenceLockManager()
         for op, idx, forced_mode in program:
             txn = pool[idx % len(pool)]
             # Mostly the server's pairing (queries read, updates write),
@@ -222,12 +187,10 @@ class TestDifferentialAgainstReference:
             if op != "release":  # a restart is release + fresh request
                 got = real.acquire_all(txn, mode)
                 want = oracle.acquire_all(txn, mode)
-                assert (got.granted, got.restarted,
-                        got.blocking_holders) == want
-            assert ((real.conflicts, real.restarts_caused,
-                     real.blocks_caused)
-                    == (oracle.conflicts, oracle.restarts_caused,
-                        oracle.blocks_caused))
+                assert got.restarted == want
+                assert got.blocking_holders == ()
+            assert ((real.conflicts, real.restarts_caused)
+                    == (oracle.conflicts, oracle.restarts_caused))
             for member in pool:
                 assert real.locks_of(member) == oracle.locks_of(member)
             for key in KEYS:

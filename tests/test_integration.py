@@ -152,3 +152,12 @@ class TestSeedRobustness:
                    + c.get("queries_unfinished", 0))
         assert queries == len(trace.queries)
         assert 0.0 <= result.total_percent <= 1.0
+
+    @pytest.mark.parametrize("seed", [4905, 4955])
+    def test_full_profit_does_not_overshoot_one(self, seed):
+        # Both runs earn every contract in full; the gained and maximum
+        # sums fold in different orders and differed by an ulp.
+        trace = small_trace(seed=seed, duration=5_000.0)
+        result = run_simulation(make_scheduler("QUTS"), trace,
+                                QCFactory.balanced(), master_seed=seed)
+        assert result.total_percent == 1.0

@@ -10,6 +10,7 @@ from repro.db.database import Database
 from repro.db.server import DatabaseServer, ServerConfig
 from repro.db.transactions import Query, TxnStatus, Update
 from repro.db.wal import DurabilityConfig
+from repro.faults import FaultEvent, FaultIncident
 from repro.metrics.profit import ProfitLedger
 from repro.qc.contracts import CompositionMode, QualityContract
 from repro.scheduling import QUTSScheduler, make_uh
@@ -136,3 +137,53 @@ def test_nan_config_value_rejected(cls, field, value):
     # NaN fails it instead of constructing a silently wrong run.
     with pytest.raises(ValueError):
         cls(**{field: value})
+
+
+#: Fault-layer records that need a kind (and a target) to construct; each
+#: row is the valid base arguments plus the field set to NaN.  Chaos repro
+#: JSON reaches these through ``json.loads``, which accepts ``NaN``.
+NAN_FAULT_FIELDS = [
+    (FaultEvent, {"kind": "crash", "replica": 0}, "at_ms"),
+    (FaultEvent, {"at_ms": 0.0, "kind": "slow_replica", "replica": 0},
+     "magnitude"),
+    (FaultEvent, {"at_ms": 0.0, "kind": "spike_start"}, "magnitude"),
+    (FaultEvent, {"at_ms": 0.0, "kind": "delay_updates", "replica": 0},
+     "magnitude"),
+    (FaultEvent, {"at_ms": 0.0, "kind": "corrupt_wal", "replica": 0},
+     "magnitude"),
+    (FaultIncident, {"kind": "crash", "replica": 0, "duration_ms": 1.0},
+     "at_ms"),
+    (FaultIncident, {"kind": "crash", "replica": 0, "at_ms": 0.0},
+     "duration_ms"),
+]
+FAULT_IDS = [f"{cls.__name__}.{base['kind']}.{field}"
+             for cls, base, field in NAN_FAULT_FIELDS]
+
+
+@pytest.mark.parametrize("cls, base, field", NAN_FAULT_FIELDS,
+                         ids=FAULT_IDS)
+def test_nan_fault_value_rejected(cls, base, field):
+    # A NaN time would otherwise fail mid-run, when the kernel refuses
+    # the non-finite timeout; a NaN magnitude would run silently wrong.
+    with pytest.raises(ValueError):
+        cls(**base, **{field: NAN})
+
+
+@pytest.mark.parametrize("cls, base, field", NAN_FAULT_FIELDS,
+                         ids=FAULT_IDS)
+def test_infinite_fault_value_still_accepted(cls, base, field):
+    # The NaN-safe guards keep every bound where it was: inf was legal
+    # in each of these fields and stays legal.
+    assert getattr(cls(**base, **{field: float("inf")}), field) \
+        == float("inf")
+
+
+def test_nan_slowdown_rejected():
+    env = Environment()
+    server = DatabaseServer(env, Database(), make_uh(), ProfitLedger(),
+                            StreamRegistry(0))
+    with pytest.raises(ValueError):
+        server.set_slowdown(NAN)
+    assert server.slowdown == 1.0
+    server.set_slowdown(float("inf"))
+    assert server.slowdown == float("inf")

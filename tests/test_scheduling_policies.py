@@ -6,6 +6,7 @@ from repro.db.transactions import Query, Update
 from repro.qc.contracts import QualityContract
 from repro.scheduling import (FIFOScheduler, make_fifo_qh, make_fifo_uh,
                               make_qh, make_scheduler, make_uh)
+from tests.lock_reference import lock_priority
 
 
 def query(at=0.0, qosmax=10.0, rtmax=50.0):
@@ -69,10 +70,12 @@ class TestUH:
         assert not scheduler.preempts(query(), query())
 
     def test_lock_priority_favours_updates(self):
+        # The 2PL-HP priority UH induces (the census oracle; the lock
+        # manager itself restarts every conflicting holder).
         scheduler = make_uh()
-        assert scheduler.has_lock_priority(update(), query())
-        assert not scheduler.has_lock_priority(query(), update())
-        assert scheduler.has_lock_priority(query(), query())
+        assert lock_priority(scheduler, update(), query())
+        assert not lock_priority(scheduler, query(), update())
+        assert lock_priority(scheduler, query(), query())
 
     def test_vrd_within_queries(self):
         scheduler = make_uh()
@@ -99,8 +102,8 @@ class TestQH:
 
     def test_lock_priority_favours_queries(self):
         scheduler = make_qh()
-        assert scheduler.has_lock_priority(query(), update())
-        assert not scheduler.has_lock_priority(update(), query())
+        assert lock_priority(scheduler, query(), update())
+        assert not lock_priority(scheduler, update(), query())
 
 
 class TestNaiveVariants:

@@ -11,6 +11,7 @@ from repro.qc.contracts import QualityContract
 from repro.scheduling.quts import QUTSScheduler, optimal_rho
 from repro.sim import Environment
 from repro.sim.rng import StreamRegistry
+from tests.lock_reference import lock_priority
 
 
 def query(at=0.0, qosmax=10.0, qodmax=10.0, rtmax=50.0):
@@ -288,17 +289,20 @@ class TestSlotMachine:
 
 
 class TestLockPriority:
+    """The 2PL-HP priority QUTS induces (the census oracle; the lock
+    manager itself restarts every conflicting holder)."""
+
     def test_slot_owner_wins(self):
         env, scheduler = bound_scheduler(fixed_rho=1.0)
         q, u = query(), update()
         scheduler.submit_query(q)
         scheduler.next_transaction(0.0)  # query state
-        assert scheduler.has_lock_priority(q, u)
-        assert not scheduler.has_lock_priority(u, q)
+        assert lock_priority(scheduler, q, u)
+        assert not lock_priority(scheduler, u, q)
 
     def test_same_class_requester_wins(self):
         env, scheduler = bound_scheduler(fixed_rho=1.0)
         q1, q2 = query(), query()
         scheduler.submit_query(q1)
         scheduler.next_transaction(0.0)
-        assert scheduler.has_lock_priority(q1, q2)
+        assert lock_priority(scheduler, q1, q2)
