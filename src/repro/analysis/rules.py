@@ -541,9 +541,10 @@ class EntropyTaintRule(Rule):
     #: The live gateway's clock module is *about* host time.
     exempt = ("src/repro/serve/clock.py",)
 
-    #: Call names that put a delay/interval on the event queue.
+    #: Call names that put a delay/interval on the event queue (or, for
+    #: ``advance``, move the clock by one in its place).
     SINKS: typing.ClassVar[frozenset[str]] = frozenset({
-        "schedule", "timeout", "call_periodic",
+        "schedule", "timeout", "call_periodic", "advance",
     })
     SOURCE_EXACT: typing.ClassVar[frozenset[str]] = frozenset({
         "os.urandom", "os.getrandom", "uuid.uuid1", "uuid.uuid4",

@@ -188,7 +188,7 @@ def run_cluster_simulation(n_replicas: int,
     env.run(until=horizon)
     portal.finalize()
     if isinstance(env.telemetry, KernelProbe):
-        env.telemetry.flush()
+        env.telemetry.flush(env.fast_forwards)
     if monitor is not None:
         monitor.verify_complete(portal.rollup().total_gained)
     return ClusterResult(portal, horizon,

@@ -15,6 +15,12 @@ suffices: **every conflicting holder is restarted**, and no requester ever
 waits.  ``tests/test_lock_census.py`` checks each policy's full priority
 rule at every conflict of randomized runs.
 
+Since only a holder off the CPU can conflict, the table holds **only
+suspended transactions' locks**: ``DatabaseServer`` installs them at
+suspension and calls :meth:`LockManager.acquire_all` at dispatch only
+while :attr:`LockManager.table` is non-empty — the conflicts and restarts
+of acquiring at every dispatch, without the work.
+
 In this system (read-only queries, blind single-item updates):
 
 * read/read never conflicts;
@@ -76,15 +82,15 @@ class LockManager:
     """Tracks per-item locks and applies the 2PL-HP restart rule."""
 
     def __init__(self) -> None:
-        #: item key -> lock entry
-        self._table: dict[str, _LockEntry] = {}
+        #: item key -> lock entry (read-only outside this class)
+        self.table: dict[str, _LockEntry] = {}
         #: txn -> set of keys it holds locks on
         self._held: dict[Transaction, set[str]] = {}
         self.conflicts = 0
         self.restarts_caused = 0
 
     def __repr__(self) -> str:
-        return (f"<LockManager locked_items={len(self._table)} "
+        return (f"<LockManager locked_items={len(self.table)} "
                 f"conflicts={self.conflicts}>")
 
     # ------------------------------------------------------------------
@@ -93,11 +99,11 @@ class LockManager:
         return frozenset(self._held.get(txn, ()))
 
     def holders_of(self, key: str) -> frozenset[Transaction]:
-        entry = self._table.get(key)
+        entry = self.table.get(key)
         return frozenset(entry.holders) if entry else frozenset()
 
     def mode_of(self, key: str) -> LockMode | None:
-        entry = self._table.get(key)
+        entry = self.table.get(key)
         return entry.mode if entry else None
 
     # ------------------------------------------------------------------
@@ -110,17 +116,17 @@ class LockManager:
         returned ``restarted`` tuple.  The request is always granted.
         """
         keys = txn.touched_items()
-        if len(keys) == 1 and keys[0] not in self._table:
+        if len(keys) == 1 and keys[0] not in self.table:
             # Uncontended single-item request (>99.9 % of a paper-scale
             # run): an absent entry means no holders to restart.
-            self._table[keys[0]] = _LockEntry(mode, {txn})
+            self.table[keys[0]] = _LockEntry(mode, {txn})
             self._held.setdefault(txn, set()).update(keys)
             return _GRANTED
 
         # First pass: find the conflicting holders.
         to_restart: list[Transaction] = []
         for key in keys:
-            entry = self._table.get(key)
+            entry = self.table.get(key)
             if entry is None or not entry.holders:
                 continue
             if _compatible(entry.mode, mode) or entry.holders == {txn}:
@@ -139,10 +145,10 @@ class LockManager:
 
         # Second pass: grant.
         for key in keys:
-            entry = self._table.get(key)
+            entry = self.table.get(key)
             if entry is None:
                 entry = _LockEntry(mode, set())
-                self._table[key] = entry
+                self.table[key] = entry
             if not entry.holders:
                 entry.mode = mode
             entry.holders.add(txn)
@@ -157,10 +163,10 @@ class LockManager:
         if keys is None:
             return frozenset()
         for key in keys:
-            entry = self._table.get(key)
+            entry = self.table.get(key)
             if entry is None:
                 continue
             entry.holders.discard(txn)
             if not entry.holders:
-                del self._table[key]
+                del self.table[key]
         return frozenset(keys)

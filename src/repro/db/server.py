@@ -10,9 +10,10 @@ performance").  The server implements:
 * a preemptive executor — the scheduler bounds each running slice with a
   quantum (QUTS's atom time) and may preempt on arrivals (UH/QH); preempted
   work keeps its locks and remaining service time;
-* 2PL-HP — conservative lock acquisition over a transaction's item set;
-  the dispatched transaction outranks every conflicting lock holder, which
-  is restarted (losing progress), so no transaction ever waits for a lock;
+* 2PL-HP — conservative locks over a transaction's item set, held only
+  across a suspension (a conflict needs a holder off the CPU); the
+  dispatched transaction outranks every conflicting holder, which is
+  restarted (losing progress), so no transaction ever waits for a lock;
 * lifetime enforcement — queries past their QC lifetime are dropped when
   they would next touch the CPU;
 * class-switch overhead — an optional fixed CPU cost charged whenever the
@@ -288,9 +289,11 @@ class DatabaseServer:
         # fixed at construction is read into locals once.
         env = self.env
         timeout = env.timeout
+        advance = env.advance
         next_transaction = self.scheduler.next_transaction
         quantum_of = self.scheduler.quantum
         acquire_all = self.locks.acquire_all
+        locked = self.locks.table
         probe = self._probe
         drop_late = self.config.drop_late_queries
         switch_overhead = self.config.class_switch_overhead
@@ -322,19 +325,41 @@ class DatabaseServer:
             else:
                 txn_class, mode = "update", LockMode.WRITE
 
-            # Charge the class-switch overhead before the new class runs.
+            # Charge the class-switch overhead before the new class runs,
+            # with ``txn`` published as running so that an arrival that
+            # should preempt it (an update under UH) interrupts the switch.
             if (self._last_class is not None
                     and txn_class != self._last_class
                     and switch_overhead > 0):
-                interrupted = yield from self._charge_overhead(txn)
+                rate = self._slowdown
+                delay = (switch_overhead if rate == 1.0
+                         else switch_overhead * rate)
+                interrupted = False
+                if not advance(delay):
+                    self._running = txn
+                    try:
+                        yield timeout(delay)
+                    except Interrupt:
+                        interrupted = True
+                        # A crash already stranded txn and a superseded
+                        # update is dead: requeueing would resurrect them.
+                        # A suspended txn keeps status, locks and progress.
+                        if not self._crashed and txn.alive:
+                            self.scheduler.requeue(txn)
+                    self._running = None
+                if probe is not None:
+                    probe.overhead(now, env.now)
                 if interrupted:
                     continue
                 now = env.now
             self._last_class = txn_class
 
-            # 2PL-HP conservative acquisition over the full item set.
-            for loser in acquire_all(txn, mode).restarted:
-                self._handle_restart(loser)
+            # 2PL-HP over the full item set.  Only suspended transactions
+            # hold locks (see _suspend), so with none there is nothing a
+            # conflict could restart.
+            if locked:
+                for loser in acquire_all(txn, mode).restarted:
+                    self._handle_restart(loser)
 
             # Occupy the CPU, one scheduler-bounded slice at a time.
             txn.status = TxnStatus.RUNNING
@@ -361,8 +386,10 @@ class DatabaseServer:
                 # nominal rate the arithmetic below is bit-identical to the
                 # un-multiplied original.
                 rate = self._slowdown
+                delay = slice_ if rate == 1.0 else slice_ * rate
                 try:
-                    yield timeout(slice_ if rate == 1.0 else slice_ * rate)
+                    if not advance(delay):
+                        yield timeout(delay)
                 except Interrupt as interrupt:
                     now = env.now
                     elapsed = now - started
@@ -383,35 +410,6 @@ class DatabaseServer:
                     self._suspend(txn)
                 break
             self._running = None
-
-    def _charge_overhead(self, txn: Transaction) -> ProcessGenerator:
-        """Burn the switch overhead; returns True if interrupted (in which
-        case ``txn`` was requeued and the caller should re-decide).
-
-        ``txn`` is published as running for the duration so that arrivals
-        that should preempt it (e.g. an update arriving under UH while a
-        query is being switched in) can interrupt the switch.
-        """
-        self._running = txn
-        started = self.env.now
-        rate = self._slowdown
-        overhead = self.config.class_switch_overhead
-        try:
-            yield self.env.timeout(
-                overhead if rate == 1.0 else overhead * rate)
-        except Interrupt:
-            if not self._crashed and txn.alive:
-                # On a crash the transaction was already stranded by
-                # crash(), and a superseded update already reached its
-                # terminal state — requeueing either would resurrect it.
-                txn.status = TxnStatus.QUEUED
-                self.scheduler.requeue(txn)
-            return True
-        finally:
-            self._running = None
-            if self._probe is not None:
-                self._probe.overhead(started, self.env.now)
-        return False
 
     def _handle_interrupt(self, txn: Transaction, cause: object) -> str:
         """React to an interrupt while ``txn`` runs; returns "continue" to
@@ -444,7 +442,9 @@ class DatabaseServer:
                     self._probe.preempt(self.env.now, txn, arrival)
                 if (txn.is_update
                         and self.config.update_preemption == "restart"):
-                    self._restart_preempted_update(txn)
+                    # Aborted 2PL-HP-style: its write lock goes too.
+                    self.locks.release_all(txn)
+                    self._handle_restart(txn)
                 else:
                     self._suspend(txn)
                 return "stop"
@@ -453,22 +453,16 @@ class DatabaseServer:
         return "continue"
 
     def _suspend(self, txn: Transaction) -> None:
-        """Take ``txn`` off the CPU; it keeps locks and progress."""
+        """Take ``txn`` off the CPU; it keeps progress and, from here on,
+        its locks (installed now, conflict-free, if its dispatch found an
+        empty table: nothing else has run since)."""
         txn.status = TxnStatus.SUSPENDED
+        if not self.locks.locks_of(txn):
+            self.locks.acquire_all(txn, LockMode.READ if txn.is_query
+                                   else LockMode.WRITE)
         if self._probe is not None:
             self._probe.suspend(self.env.now, txn)
         self.scheduler.requeue(txn)
-
-    def _restart_preempted_update(self, update: Transaction) -> None:
-        """A cross-class preemption aborts the running update (2PL-HP):
-        its write lock is released and the blind write is redone later."""
-        update.reset_for_restart()
-        self.locks.release_all(update)
-        self.ledger.on_restart(victim_is_query=False)
-        update.status = TxnStatus.QUEUED
-        if self._probe is not None:
-            self._probe.restart(self.env.now, update)
-        self.scheduler.requeue(update)
 
     # ------------------------------------------------------------------
     # Completion paths
@@ -498,7 +492,8 @@ class DatabaseServer:
                 self._observe("update_applied", update)
         if self._probe is not None:
             self._probe.commit(now, txn)
-        self.locks.release_all(txn)
+        if self.locks.table:
+            self.locks.release_all(txn)
 
     def _measure_staleness(self, query: Query, now: float) -> float:
         """The query's QoD metric per ``ServerConfig.qod_metric``."""
@@ -522,7 +517,8 @@ class DatabaseServer:
             self.query_outcome_hook(query, False)
 
     def _handle_restart(self, loser: Transaction) -> None:
-        """A 2PL-HP victim: progress lost, back to its queue."""
+        """A 2PL-HP victim (or a preempted update): progress lost, back to
+        its queue."""
         loser.reset_for_restart()
         self.ledger.on_restart(loser.is_query)
         loser.status = TxnStatus.QUEUED

@@ -119,7 +119,7 @@ def run_simulation(scheduler: Scheduler, trace: Trace,
     if sanitizer is not None:
         sanitizer.finish()
     if isinstance(env.telemetry, KernelProbe):
-        env.telemetry.flush()
+        env.telemetry.flush(env.fast_forwards)
 
     rho_series = (scheduler.rho_series
                   if isinstance(scheduler, QUTSScheduler) else None)

@@ -194,7 +194,7 @@ def run_sharded_simulation(n_shards: int,
     env.run(until=horizon)
     portal.finalize()
     if isinstance(env.telemetry, KernelProbe):
-        env.telemetry.flush()
+        env.telemetry.flush(env.fast_forwards)
     if monitor is not None:
         monitor.verify_complete(portal.rollup().total_gained)
     return ShardedResult(portal, horizon,

@@ -22,6 +22,7 @@ walking each replica's timeline left to right.
 from __future__ import annotations
 
 import dataclasses
+import math
 import typing
 
 from repro.sim.rng import RandomStream
@@ -69,6 +70,9 @@ class FaultIncident:
         if not self.duration_ms > 0:
             raise ValueError(
                 f"duration_ms must be positive, got {self.duration_ms}")
+        if math.isnan(self.magnitude) or (  # events() has max(1.5, nan)
+                self.kind == CORRUPT_WAL and math.isinf(self.magnitude)):
+            raise ValueError(f"bad {self.kind} magnitude {self.magnitude}")
 
     @property
     def end_ms(self) -> float:

@@ -18,6 +18,7 @@ schedule inspectable.
 from __future__ import annotations
 
 import dataclasses
+import math
 import typing
 
 from repro.sim.rng import RandomStream
@@ -93,10 +94,10 @@ class FaultEvent:
             raise ValueError(
                 f"delay_updates needs a positive delay (ms) in "
                 f"magnitude, got {self.magnitude}")
-        if self.kind == CORRUPT_WAL and not self.magnitude >= 1.0:
+        if self.kind == CORRUPT_WAL and not 1.0 <= self.magnitude < math.inf:
             raise ValueError(
-                f"corrupt_wal needs a record count >= 1 in magnitude, "
-                f"got {self.magnitude}")
+                f"corrupt_wal needs a finite record count >= 1 in "
+                f"magnitude, got {self.magnitude}")
 
     def as_dict(self) -> dict[str, typing.Any]:
         """JSON-ready row (chaos repro artifacts round-trip through it)."""

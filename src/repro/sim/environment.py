@@ -32,6 +32,13 @@ finite one on its own.  A NaN time compares false against everything
 and would silently break the heap's order, so :meth:`Environment.schedule`
 and :meth:`Environment.timeout` refuse it with
 :class:`~repro.sim.errors.SchedulingError`.
+
+Every interruption is an event, so a process whose ``timeout(delay)``
+would be dispatched strictly before the queue's head may skip it:
+:meth:`Environment.advance` sets the clock, consumes the timeout's one
+``eid`` and counts ``fast_forwards``.  Contract: the caller is the only
+subscriber of the event that resumed it, or that event's later
+callbacks would run after the skipped interval instead of before it.
 """
 
 from __future__ import annotations
@@ -113,6 +120,8 @@ class Environment:
         #: order via :meth:`_pop_entry` but exposes every entry to the
         #: probe.
         self.sanitizer: SanitizerProbe | None = None
+        #: Timeouts :meth:`advance` replaced (``kernel/fast_forwards``).
+        self.fast_forwards = 0
 
     def __repr__(self) -> str:
         return f"<Environment t={self._now} queued={len(self._queue)}>"
@@ -158,6 +167,26 @@ class Environment:
                 f"cannot schedule {event!r} at non-finite time {t}")
         heappush(self._queue, (t, Event_NORMAL, next(self._eid), event))
         return event
+
+    def advance(self, delay: float) -> bool:
+        """Fast-forward in place of ``yield timeout(delay)`` (see the module
+        docstring) when ``now + delay`` is finite and strictly before the
+        queue's head (``+inf`` if empty); a sanitizer sees a stand-in
+        ``Timeout``.  False on a tie, ``inf``, NaN or a negative delay."""
+        queue = self._queue
+        t = self._now + delay
+        if not (delay >= 0 and t < (queue[0][0] if queue else Infinity)):
+            return False
+        eid = next(self._eid)
+        self._now = t
+        self.fast_forwards += 1
+        if self.sanitizer is not None:
+            stand_in = Timeout.__new__(Timeout)
+            proc = self._active_proc
+            stand_in.env, stand_in.callbacks = self, (
+                [proc._resume] if proc is not None else [])
+            self.sanitizer.begin_event(t, Event_NORMAL, eid, stand_in)
+        return True
 
     def process(self, generator: ProcessGenerator,
                 name: str | None = None) -> Process:

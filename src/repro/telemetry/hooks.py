@@ -524,6 +524,8 @@ class KernelProbe:
         cls = type(event)
         by_class[cls] = by_class.get(cls, 0) + 1
 
-    def flush(self) -> None:
+    def flush(self, fast_forwards: int = 0) -> None:
+        """Fold the counts (and ``Environment.fast_forwards``) in."""
         for kind, count in sorted(self.counts.items()):
             self.metrics.counter(f"events_{kind}").increment(count)
+        self.metrics.counter("fast_forwards").increment(fast_forwards)

@@ -12,6 +12,7 @@ point.
 
 from __future__ import annotations
 
+import math
 import typing
 from heapq import heappop, heappush
 
@@ -26,8 +27,9 @@ from repro.sim.process import Event_NORMAL
 class HeapEnvironment(Environment):
     """One binary heap of ``(time, priority, eid, event)`` tuples.
 
-    Every method that touches the queue is overridden here and written
-    plainly (no inlined event construction, one pop per loop turn), so
+    Every method that touches the queue or the clock is overridden here
+    and written plainly (no inlined event construction, one pop per loop
+    turn, a linear scan in ``advance``), so
     the equivalence tests compare two implementations of the dispatch
     order; only the queue-free helpers (``event``, ``process``, the
     sanitizer loop over ``_pop_entry``) are inherited.
@@ -52,6 +54,33 @@ class HeapEnvironment(Environment):
     def timeout(self, delay: float, value: object = None) -> Timeout:
         """An event triggering ``delay`` time units from now."""
         return Timeout(self, delay, value)
+
+    def advance(self, delay: float) -> bool:
+        """Stand in for ``timeout(delay)`` when that timeout would be
+        dispatched next, before anything else.
+
+        Written from the contract rather than from the production body:
+        refuse a NaN, infinite or negative target; refuse unless the
+        target is strictly before every pending entry; otherwise take the
+        timeout's one ``eid``, show the sanitizer the timeout it replaces,
+        and move the clock.
+        """
+        target = self._now + delay
+        if math.isnan(target) or math.isinf(target) or delay < 0:
+            return False
+        if any(target >= entry[0] for entry in self._queue):
+            return False
+        eid = next(self._eid)
+        self._now = target
+        self.fast_forwards += 1
+        if self.sanitizer is not None:
+            stand_in = Timeout.__new__(Timeout)
+            stand_in.env = self
+            process = self.active_process
+            stand_in.callbacks = ([] if process is None
+                                  else [process._resume])
+            self.sanitizer.begin_event(target, Event_NORMAL, eid, stand_in)
+        return True
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none."""

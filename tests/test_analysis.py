@@ -646,6 +646,17 @@ class TestEntropyTaint:
         assert rule_ids(findings) == ["no-entropy-taint"]
         assert findings[0].line == 4
 
+    def test_fires_on_direct_flow_into_advance(self, tmp_path):
+        # advance() moves the simulated clock in place of a timeout.
+        findings = lint_snippet(tmp_path, """\
+            import time
+
+            def run(env):
+                env.advance(time.monotonic())
+            """, select=["no-entropy-taint"])
+        assert rule_ids(findings) == ["no-entropy-taint"]
+        assert findings[0].line == 4
+
     def test_fires_through_local_assignment(self, tmp_path):
         findings = lint_snippet(tmp_path, """\
             import os

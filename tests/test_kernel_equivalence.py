@@ -10,8 +10,10 @@ programs — timeouts with same-millisecond ties, explicit schedules at
 every priority, chained timeouts fired *from callbacks* (which land at
 or just after the time being dispatched), single steps, partial
 ``run(until=...)`` horizons (which leave entries pending across runs),
-and infinite delays (which must sort after every finite entry) — and
-requires the observed dispatch logs to match element for element.
+infinite delays (which must sort after every finite entry) and
+``advance`` fast-forwards (refused at a tie with the head) — and
+requires the observed dispatch logs, ``advance`` answers and eid
+consumption to match element for element.
 
 The ledger check then does the same at full-stack fidelity: one fig5
 policy run per kernel, compared on every number a figure could hinge on.
@@ -39,6 +41,9 @@ DELAYS = st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 3.0,
 #: Delay of a timeout scheduled *from the firing callback* (lands at or
 #: after the time being dispatched), or None for no chaining.
 CHAIN_DELAYS = st.one_of(st.none(), st.sampled_from([0.0, 0.25, 1.0]))
+#: ``advance`` targets: the timeout delays (ties with pending entries
+#: and ``+inf`` must be refused) plus NaN and a negative delay.
+ADVANCE_DELAYS = st.one_of(DELAYS, st.sampled_from([float("nan"), -1.0]))
 #: Event_URGENT, Event_NORMAL, and the until-stop priority.
 PRIORITIES = st.sampled_from([0, 1, 2])
 
@@ -49,13 +54,15 @@ OPERATIONS = st.lists(
                   st.sampled_from([0.0, 0.5, 1.0, 10.0]), PRIORITIES),
         st.tuples(st.just("step")),
         st.tuples(st.just("until"), st.sampled_from([0.5, 1.0, 2.5])),
+        st.tuples(st.just("advance"), ADVANCE_DELAYS),
     ),
     max_size=60,
 )
 
 
 def _execute(env_cls, operations):
-    """Run one operation program; return the observed dispatch log.
+    """Run one operation program; return the observed dispatch log, the
+    number of eids consumed and the number of fast-forwards.
 
     Every scheduled event carries a unique tag and appends
     ``(now, tag)`` when dispatched, so two kernels agree on the log iff
@@ -88,6 +95,8 @@ def _execute(env_cls, operations):
             event._value = ("s", i)
             event.callbacks.append(note)
             env.schedule(event, delay=delay, priority=priority)
+        elif kind == "advance":
+            log.append((env.now, ("a", i, env.advance(operation[1]))))
         elif kind == "step":
             try:
                 env.step()
@@ -100,7 +109,8 @@ def _execute(env_cls, operations):
             # NaN-timed entry; neither is a dispatch order to compare.)
             env.run(until=env.now + operation[1])
     env.run()
-    return log
+    # The eids consumed (one per timeout, schedule and fast-forward).
+    return log, next(env._eid), env.fast_forwards
 
 
 @given(OPERATIONS)

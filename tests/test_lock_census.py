@@ -11,6 +11,11 @@ lock manager meets, assert that
   requester outranks the holder, so a waiting requester was never due;
 * the holder is alive and off the CPU;
 * the manager restarts exactly the conflicting holders.
+
+The server installs locks lazily (only a suspended transaction holds
+any), so the same runs also check, at every dispatch, that the table
+holds exactly the items of the live ``SUSPENDED`` transactions, and that
+a dispatch which skips ``acquire_all`` finds the table empty.
 """
 
 import dataclasses
@@ -22,7 +27,7 @@ from hypothesis import strategies as st
 
 from repro.db.locks import LockManager, LockMode
 from repro.db.server import ServerConfig
-from repro.db.transactions import TxnStatus
+from repro.db.transactions import Transaction, TxnStatus
 from repro.experiments.runner import run_simulation
 from repro.qc.generator import QCFactory
 from repro.scheduling import make_scheduler
@@ -35,15 +40,27 @@ POLICIES = ("FIFO", "UH", "QH", "QUTS", "FIFO-UH", "FIFO-QH",
 
 def run_checked(policy, update_preemption, tau, seed, n_stocks,
                 duration_ms, switch_overhead):
-    """Run one trace with every ``acquire_all`` checked; returns the
-    number of conflicting holders met."""
+    """Run one trace with every ``acquire_all`` and every dispatch
+    checked; returns the number of conflicting holders met."""
     spec = dataclasses.replace(WorkloadSpec().scaled(duration_ms),
                                n_stocks=n_stocks)
     trace = StockWorkloadGenerator(spec, master_seed=seed).generate()
     scheduler = (make_scheduler(policy, tau=tau)
                  if policy.startswith("QUTS") else make_scheduler(policy))
     original = LockManager.acquire_all
+    original_init = LockManager.__init__
+    status = Transaction.status
+    managers = []
     met = []
+    #: Live transactions whose status is SUSPENDED.
+    suspended = set()
+    #: Transactions ``acquire_all`` was called for since the last dispatch.
+    acquired = set()
+    dispatches = []
+
+    def recording_init(locks):
+        original_init(locks)
+        managers.append(locks)
 
     def checked_acquire_all(locks, txn, mode):
         conflicting = set()
@@ -63,15 +80,43 @@ def run_checked(policy, update_preemption, tau, seed, n_stocks,
         assert set(result.restarted) == conflicting
         assert result.blocking_holders == ()
         met.append(len(conflicting))
+        acquired.add(txn)
         return result
+
+    def check_dispatch(txn):
+        """``txn`` is about to run: its locks, if any, are in place."""
+        (locks,) = managers
+        if txn not in acquired:
+            assert not locks.table, (txn, dict(locks.table))
+        wanted = set()
+        for holder in suspended:
+            wanted.update(holder.touched_items())
+        if txn.status is not TxnStatus.SUSPENDED and txn in acquired:
+            wanted.update(txn.touched_items())  # a fresh txn, just locked
+        assert set(locks.table) == wanted, (txn, set(locks.table), wanted)
+        acquired.clear()
+        dispatches.append(txn)
+
+    def set_status(txn, new):
+        if new is TxnStatus.RUNNING:
+            check_dispatch(txn)
+        if new is TxnStatus.SUSPENDED:
+            suspended.add(txn)
+        else:
+            suspended.discard(txn)
+        status.fset(txn, new)
 
     config = ServerConfig(update_preemption=update_preemption,
                           class_switch_overhead=switch_overhead)
     with unittest.mock.patch.object(LockManager, "acquire_all",
-                                    checked_acquire_all):
+                                    checked_acquire_all), \
+            unittest.mock.patch.object(LockManager, "__init__",
+                                       recording_init), \
+            unittest.mock.patch.object(Transaction, "status",
+                                       property(status.fget, set_status)):
         run_simulation(scheduler, trace, QCFactory.balanced(),
                        master_seed=seed, server_config=config)
-    assert met, "no lock was ever requested"
+    assert dispatches, "no transaction was ever dispatched"
     return sum(met)
 
 

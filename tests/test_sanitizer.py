@@ -317,3 +317,62 @@ class TestPlantedBugs:
         assert any(finding.rule_id == "no-set-iteration"
                    and finding.line == PLANTED_SET_ITER_LINE
                    for finding in findings), findings
+
+
+# ----------------------------------------------------------------------
+class TestFastForward:
+    """``Environment.advance`` hands the sanitizer a stand-in timeout, so
+    race mode sees the run it would have seen without fast-forwarding."""
+
+    @staticmethod
+    def _no_fast_forward(monkeypatch):
+        monkeypatch.setattr(Environment, "advance",
+                            lambda env, delay: False)
+
+    def test_race_mode_is_identical_with_fast_forward(self, monkeypatch):
+        trace = _tiny_trace()
+
+        def run():
+            sanitizer = Sanitizer(track_state=True, record_trace=True)
+            result = run_simulation(make_scheduler("QUTS"), trace,
+                                    QCFactory.balanced(), master_seed=1,
+                                    sanitizer=sanitizer)
+            return (result_fingerprint(result), sanitizer.findings,
+                    sanitizer.events_seen, sanitizer.trace)
+
+        taken = []
+        advance = Environment.advance
+
+        def counting(env, delay):
+            taken.append(advance(env, delay))
+            return taken[-1]
+
+        monkeypatch.setattr(Environment, "advance", counting)
+        fast = run()
+        self._no_fast_forward(monkeypatch)
+        assert fast == run()
+        assert sum(taken) > 0
+
+    def test_planted_race_found_identically_beside_a_fast_forwarder(
+            self, monkeypatch):
+        def run():
+            env, sanitizer = _race_env()
+
+            def worker():
+                for _ in range(8):
+                    if not env.advance(0.75):
+                        yield env.timeout(0.75)
+                    sanitizer.log_write("worker")
+
+            env.process(worker(), name="worker")
+            findings = _two_procs(env, sanitizer,
+                                  lambda: sanitizer.log_write("cell"),
+                                  lambda: sanitizer.log_write("cell"))
+            return findings, sanitizer.events_seen, env.fast_forwards
+
+        fast = run()
+        assert [finding.cells for finding in fast[0]] == [("cell",)]
+        assert fast[2] > 0
+        self._no_fast_forward(monkeypatch)
+        slow = run()
+        assert fast[:2] == slow[:2]

@@ -4,6 +4,7 @@ import pytest
 
 from repro.sim import Environment, Infinity
 from repro.sim.errors import EventLifecycleError, SchedulingError
+from tests.kernel_reference import HeapEnvironment
 
 
 class TestClock:
@@ -159,3 +160,78 @@ class TestScheduling:
     def test_repr_mentions_time(self):
         env = Environment(initial_time=3.0)
         assert "3.0" in repr(env)
+
+
+@pytest.mark.parametrize("env_cls", [Environment, HeapEnvironment])
+class TestAdvance:
+    """``advance(delay)`` replaces ``yield timeout(delay)`` only when that
+    timeout would be the next entry dispatched, strictly."""
+
+    def test_true_on_an_empty_queue(self, env_cls):
+        env = env_cls(initial_time=2.0)
+        assert env.advance(3.5)
+        assert env.now == 5.5
+        assert env.fast_forwards == 1
+        assert next(env._eid) == 1  # the timeout's one eid was consumed
+
+    def test_true_strictly_before_the_head(self, env_cls):
+        env = env_cls()
+        env.timeout(5.0)
+        assert env.advance(4.0)
+        assert env.now == 4.0
+        assert env.peek() == 5.0  # the pending entry is untouched
+
+    def test_refused_at_an_exact_tie_with_the_head(self, env_cls):
+        env = env_cls()
+        env.timeout(5.0)
+        assert not env.advance(5.0)
+        assert env.now == 0.0
+        assert env.fast_forwards == 0
+        assert next(env._eid) == 1  # nothing consumed beyond the timeout
+
+    @pytest.mark.parametrize("delay", [Infinity, float("nan"), -1.0])
+    def test_refuses_non_finite_and_negative_targets(self, env_cls, delay):
+        env = env_cls()
+        assert not env.advance(delay)
+        assert env.now == 0.0
+        assert next(env._eid) == 0
+
+    def test_refused_targets_still_go_through_timeout(self, env_cls):
+        env = env_cls()
+        assert not env.advance(Infinity)
+        env.timeout(Infinity)  # legal, as before
+        assert env.peek() == Infinity
+        assert env.advance(1.0)  # finite beats a pending +inf entry
+        if env_cls is Environment:
+            # NaN is refused by advance and then, loudly, by timeout.
+            assert not env.advance(float("nan"))
+            with pytest.raises(SchedulingError):
+                env.timeout(float("nan"))
+
+    def test_a_fast_forwarding_process_keeps_every_time_and_eid(
+            self, env_cls):
+        def program(fast):
+            env = env_cls()
+            seen = []
+
+            def worker():
+                for delay in (1.0, 2.0, 2.0, 0.5):
+                    if not (fast and env.advance(delay)):
+                        yield env.timeout(delay)
+                    seen.append(env.now)
+
+            def ticker():
+                yield env.timeout(3.0)
+                seen.append(("tick", env.now))
+
+            env.process(worker())
+            env.process(ticker())
+            env.run()
+            return seen, next(env._eid), env.fast_forwards
+
+        fast, slow = program(True), program(False)
+        assert fast[:2] == slow[:2]
+        # Refused: the step to 1.0 (the ticker's start is pending at 0),
+        # to 3.0 (a tie with the ticker's timeout) and to 5.0 (the
+        # ticker's exit is pending at 3.0).  Taken: 5.5, on an empty queue.
+        assert (fast[2], slow[2]) == (1, 0)
