@@ -5,7 +5,7 @@ from .admission import (AdmissionPolicy, AdmitAll, OverloadShedding,
                         ProfitAwareAdmission)
 from .database import Database
 from .items import DataItem
-from .locks import AcquireResult, LockManager, LockMode
+from .locks import LockManager
 from .server import DatabaseServer, ServerConfig
 from .transactions import (LIVE_STATUSES, Query, Transaction, TxnStatus,
                            Update)
@@ -16,7 +16,6 @@ __all__ = [
     "DurabilityConfig",
     "WalRecord",
     "WriteAheadLog",
-    "AcquireResult",
     "AdmissionPolicy",
     "AdmitAll",
     "OverloadShedding",
@@ -26,7 +25,6 @@ __all__ = [
     "DatabaseServer",
     "LIVE_STATUSES",
     "LockManager",
-    "LockMode",
     "Query",
     "ServerConfig",
     "Transaction",

@@ -37,7 +37,7 @@ from repro.telemetry.hooks import TelemetryKnob, TelemetrySession
 
 from .admission import AdmissionPolicy
 from .database import Database
-from .locks import LockManager, LockMode
+from .locks import LockManager
 from .transactions import Query, Transaction, TxnStatus, Update
 from .wal import Checkpoint, WalRecord, WriteAheadLog
 
@@ -321,9 +321,9 @@ class DatabaseServer:
                 if drop_late and txn.past_lifetime(now):
                     self._drop_query(txn)
                     continue
-                txn_class, mode = "query", LockMode.READ
+                txn_class = "query"
             else:
-                txn_class, mode = "update", LockMode.WRITE
+                txn_class = "update"
 
             # Charge the class-switch overhead before the new class runs,
             # with ``txn`` published as running so that an arrival that
@@ -358,7 +358,7 @@ class DatabaseServer:
             # hold locks (see _suspend), so with none there is nothing a
             # conflict could restart.
             if locked:
-                for loser in acquire_all(txn, mode).restarted:
+                for loser in acquire_all(txn).restarted:
                     self._handle_restart(loser)
 
             # Occupy the CPU, one scheduler-bounded slice at a time.
@@ -454,12 +454,9 @@ class DatabaseServer:
 
     def _suspend(self, txn: Transaction) -> None:
         """Take ``txn`` off the CPU; it keeps progress and, from here on,
-        its locks (installed now, conflict-free, if its dispatch found an
-        empty table: nothing else has run since)."""
+        its locks."""
         txn.status = TxnStatus.SUSPENDED
-        if not self.locks.locks_of(txn):
-            self.locks.acquire_all(txn, LockMode.READ if txn.is_query
-                                   else LockMode.WRITE)
+        self.locks.install(txn)
         if self._probe is not None:
             self._probe.suspend(self.env.now, txn)
         self.scheduler.requeue(txn)

@@ -52,7 +52,7 @@ from repro.scheduling import QUTSScheduler, make_scheduler
 from repro.scheduling.base import Scheduler
 from repro.sim import Environment
 from repro.sim.process import ProcessGenerator
-from repro.sim.sanitizer import RaceFinding, Sanitizer
+from repro.sim.sanitizer import EventInfo, RaceFinding, Sanitizer
 from repro.workload.traces import Trace
 
 __all__ = ["DivergenceFinding", "check_perturbation", "check_races",
@@ -300,13 +300,22 @@ def planted_set_iter_findings() -> list[Finding]:
     return apply_rules(module, [SetIterationRule()])
 
 
+def _relative_event(root: pathlib.Path, info: EventInfo) -> EventInfo:
+    return dataclasses.replace(info, path=_relativize(root, info.path))
+
+
 def _planted_main(which: str) -> int:
     if which == "order":
         races = planted_order_findings()
         hits = [race for race in races
                 if "db.items[PLANTED]" in race.cells]
+        # Relative to this checkout's root, not the cwd, so the report
+        # reads the same from any checkout and any working directory.
+        root = find_project_root(pathlib.Path(__file__))
         for race in hits:
-            print(race.format())
+            print(dataclasses.replace(
+                race, first=_relative_event(root, race.first),
+                second=_relative_event(root, race.second)).format())
         if hits:
             print("planted-bug order: detected (oracle works)")
             return EXIT_CLEAN
@@ -375,6 +384,12 @@ def main(argv: typing.Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     if args.planted_bug is not None:
         return _planted_main(args.planted_bug)
+    root = find_project_root(pathlib.Path.cwd())
+    if not args.skip_static and not (root / "src").is_dir():
+        print(f"repro sanitize: error: no src/ under {root} for the "
+              f"static rules; run from a checkout or pass --skip-static",
+              file=sys.stderr)
+        return EXIT_ERROR
 
     try:
         config = ExperimentConfig(scale=chosen_scale(args.scale),
@@ -393,7 +408,6 @@ def main(argv: typing.Sequence[str] | None = None) -> int:
     except (ValueError, KeyError) as exc:
         print(f"repro sanitize: error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    root = find_project_root(pathlib.Path.cwd())
 
     summaries: list[str] = []
     races: list[tuple[str, RaceFinding]] = []

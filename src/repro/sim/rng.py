@@ -25,6 +25,10 @@ def _derive_seed(master_seed: int, name: str) -> int:
 class RandomStream(random.Random):
     """A ``random.Random`` with a name, for debuggability."""
 
+    def __new__(cls, seed: int, name: str) -> RandomStream:
+        # CPython 3.10's ``Random.__new__`` takes at most one argument.
+        return super().__new__(cls, seed)
+
     def __init__(self, seed: int, name: str) -> None:
         super().__init__(seed)
         self.name = name

@@ -1,10 +1,12 @@
 """Reference 2PL-HP lock manager and the policies' 2PL-HP priorities.
 
-``repro.db.locks.LockManager`` answers the uncontended single-item case
-on a fast path; :class:`ReferenceLockManager` has no such path, so the
-differential tests in ``test_db_locks.py`` can hold the production
-manager to it step by step.  It shares no code with the production
-module beyond ``LockMode``.
+``repro.db.locks.LockManager`` keeps only an index of suspended holders,
+because on one CPU nothing else can conflict.  :class:`ReferenceLockManager`
+is the general read/write lock table it replaced: every request walks both
+passes (find the conflicting holders, then grant), and the running
+transaction holds its locks from dispatch on.  The differential tests in
+``test_db_locks.py`` and ``test_lock_census.py`` drive both in lockstep and
+hold the index to it.  It shares no code with the production module.
 
 The production manager restarts every conflicting holder, because the
 transaction the scheduler dispatched outranks every holder that is off
@@ -14,9 +16,21 @@ policy induces ("does ``requester`` outrank ``holder``?");
 which is what licenses the one-rule manager.
 """
 
-from repro.db.locks import LockMode
+import enum
+
 from repro.scheduling.dual import DualQueueScheduler
 from repro.scheduling.quts import QUTSScheduler
+
+
+class LockMode(enum.Enum):
+    READ = "read"
+    WRITE = "write"
+
+    @classmethod
+    def of(cls, txn):
+        """The mode the server's pairing gives ``txn``: queries read,
+        updates write."""
+        return cls.READ if txn.is_query else cls.WRITE
 
 
 class ReferenceLockManager:
@@ -28,15 +42,9 @@ class ReferenceLockManager:
         self.conflicts = 0
         self.restarts_caused = 0
 
-    def locks_of(self, txn):
-        return frozenset(self._held.get(txn, ()))
-
     def holders_of(self, key):
         return frozenset(self._table[key][1]) if key in self._table \
             else frozenset()
-
-    def mode_of(self, key):
-        return self._table[key][0] if key in self._table else None
 
     def acquire_all(self, txn, mode):
         """Grants the request; returns the restarted holders."""

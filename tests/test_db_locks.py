@@ -1,13 +1,14 @@
-"""Unit tests for the 2PL-HP lock manager."""
+"""Unit tests for the 2PL-HP lock manager: a transaction's items are
+installed when it is suspended and checked when another is dispatched."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.db.locks import LockManager, LockMode
+from repro.db.locks import LockManager
 from repro.db.transactions import Query, Update
 from repro.qc.contracts import QualityContract
-from tests.lock_reference import ReferenceLockManager
+from tests.lock_reference import LockMode, ReferenceLockManager
 
 
 def query(items=("A",), at=0.0):
@@ -19,134 +20,145 @@ def update(item="A", at=0.0):
     return Update(arrival_time=at, exec_time=2.0, item=item)
 
 
+def index(locks):
+    """The index as item -> holders in install order."""
+    return {key: list(holders) for key, holders in locks.table.items()}
+
+
 class TestGrants:
     def test_uncontended_read_grant(self):
         locks = LockManager()
         q = query(("A", "B"))
-        result = locks.acquire_all(q, LockMode.READ)
-        assert result.restarted == ()
-        assert locks.locks_of(q) == {"A", "B"}
-        assert locks.mode_of("A") is LockMode.READ
+        assert locks.acquire_all(q).restarted == ()
+        assert locks.table == {}  # dispatch installs nothing
+        locks.install(q)
+        assert index(locks) == {"A": [q], "B": [q]}
 
     def test_uncontended_write_grant(self):
         locks = LockManager()
         u = update("A")
-        assert locks.acquire_all(u, LockMode.WRITE).restarted == ()
-        assert locks.locks_of(u) == {"A"}
-        assert locks.mode_of("A") is LockMode.WRITE
+        assert locks.acquire_all(u).restarted == ()
+        locks.install(u)
+        assert index(locks) == {"A": [u]}
 
     def test_shared_reads_compatible(self):
         locks = LockManager()
         q1, q2 = query(("A",)), query(("A",))
-        assert locks.acquire_all(q1, LockMode.READ).restarted == ()
-        assert locks.acquire_all(q2, LockMode.READ).restarted == ()
-        assert locks.holders_of("A") == {q1, q2}
+        locks.install(q1)
+        assert locks.acquire_all(q2).restarted == ()
+        locks.install(q2)
+        assert index(locks) == {"A": [q1, q2]}
         assert locks.conflicts == 0
 
     def test_reacquire_own_locks_idempotent(self):
-        """A resumed transaction re-acquires what it already holds."""
+        """A resumed transaction is still installed: its dispatch
+        conflicts with no one and its next suspension changes nothing."""
         locks = LockManager()
-        q = query(("A", "B"))
-        locks.acquire_all(q, LockMode.READ)
-        result = locks.acquire_all(q, LockMode.READ)
-        assert result.restarted == ()
-        assert locks.locks_of(q) == {"A", "B"}
+        q1, q2 = query(("A", "B")), query(("B",))
+        locks.install(q1)
+        locks.install(q2)
+        assert locks.acquire_all(q1).restarted == ()
+        locks.install(q1)
+        assert index(locks) == {"A": [q1], "B": [q1, q2]}
 
 
 class TestConflictResolution:
-    """The dispatched requester outranks every holder off the CPU, so
-    every conflict restarts the holder and the request is granted."""
+    """The dispatched transaction outranks every holder off the CPU, so
+    every holder of the other class on its items is restarted."""
 
     def test_high_priority_requester_restarts_holder(self):
         locks = LockManager()
         q = query(("A",))
         u = update("A")
-        locks.acquire_all(q, LockMode.READ)
-        result = locks.acquire_all(u, LockMode.WRITE)
+        locks.install(q)
+        result = locks.acquire_all(u)
         assert result.restarted == (q,)
         assert result.blocking_holders == ()
-        assert locks.locks_of(q) == frozenset()
-        assert locks.holders_of("A") == {u}
+        assert locks.table == {}
         assert locks.restarts_caused == 1
 
     def test_read_requester_restarts_write_holder(self):
         locks = LockManager()
-        u = update("A")
+        u, other = update("A"), update("C")
         q = query(("A", "B"))
-        locks.acquire_all(u, LockMode.WRITE)
-        result = locks.acquire_all(q, LockMode.READ)
+        locks.install(u)
+        locks.install(other)
+        result = locks.acquire_all(q)
         assert result.restarted == (u,)
-        assert locks.locks_of(u) == frozenset()
-        assert locks.locks_of(q) == {"A", "B"}
-        assert locks.mode_of("A") is LockMode.READ
+        assert index(locks) == {"C": [other]}
         assert locks.restarts_caused == 1
 
     def test_multiple_holders_all_restarted(self):
-        locks = LockManager()
-        q1, q2 = query(("A",)), query(("A",))
-        locks.acquire_all(q1, LockMode.READ)
-        locks.acquire_all(q2, LockMode.READ)
-        u = update("A")
-        result = locks.acquire_all(u, LockMode.WRITE)
-        assert set(result.restarted) == {q1, q2}
-        assert locks.holders_of("A") == {u}
-        assert locks.restarts_caused == 2
+        """Restarted in install order, never in hash order."""
+        for order in (slice(None), slice(None, None, -1)):
+            locks = LockManager()
+            holders = [query(("A",)) for _ in range(5)][order]
+            for q in holders:
+                locks.install(q)
+            result = locks.acquire_all(update("A"))
+            assert result.restarted == tuple(holders)
+            assert locks.table == {}
+            assert locks.restarts_caused == 5
 
     def test_conflict_counter_increments(self):
+        """One conflict per (item, holder) pair; one restart per holder."""
         locks = LockManager()
-        locks.acquire_all(query(("A",)), LockMode.READ)
-        locks.acquire_all(update("A"), LockMode.WRITE)
-        assert locks.conflicts == 1
+        locks.install(update("A"))
+        locks.install(update("B"))
+        locks.acquire_all(query(("A", "B", "C")))
+        assert (locks.conflicts, locks.restarts_caused) == (2, 2)
 
 
 class TestRelease:
     def test_release_all_frees_keys(self):
         locks = LockManager()
         q = query(("A", "B"))
-        locks.acquire_all(q, LockMode.READ)
-        freed = locks.release_all(q)
-        assert freed == {"A", "B"}
-        assert locks.holders_of("A") == frozenset()
-        assert locks.mode_of("A") is None
+        locks.install(q)
+        locks.release_all(q)
+        assert locks.table == {}
 
     def test_release_unknown_txn_is_noop(self):
         locks = LockManager()
-        assert locks.release_all(query()) == frozenset()
+        locks.release_all(query())
+        assert locks.table == {}
+        q = query(("A",))
+        locks.install(q)
+        locks.release_all(query(("A", "B")))
+        assert index(locks) == {"A": [q]}
 
     def test_release_one_shared_reader_keeps_entry(self):
         locks = LockManager()
         q1, q2 = query(("A",)), query(("A",))
-        locks.acquire_all(q1, LockMode.READ)
-        locks.acquire_all(q2, LockMode.READ)
+        locks.install(q1)
+        locks.install(q2)
         locks.release_all(q1)
-        assert locks.holders_of("A") == {q2}
+        assert index(locks) == {"A": [q2]}
 
     def test_grant_after_release(self):
-        """A released holder is no longer a conflict: the next request
-        is granted without restarting anyone."""
+        """A released holder is no longer a conflict: the next dispatch
+        restarts no one."""
         locks = LockManager()
         q = query(("A",))
         u = update("A")
-        locks.acquire_all(q, LockMode.READ)
+        locks.install(q)
         locks.release_all(q)
-        assert locks.acquire_all(u, LockMode.WRITE).restarted == ()
+        assert locks.acquire_all(u).restarted == ()
         assert (locks.conflicts, locks.restarts_caused) == (0, 0)
-        assert locks.holders_of("A") == {u}
 
 
 class TestSharedGrantIsImmutable:
-    """Every uncontended single-item grant is one shared object, so a
-    caller must not be able to change what the next caller reads."""
+    """Every conflict-free dispatch gets one shared result, so a caller
+    must not be able to change what the next caller reads."""
 
     def test_fields_cannot_be_rebound(self):
         locks = LockManager()
-        result = locks.acquire_all(update("A"), LockMode.WRITE)
+        result = locks.acquire_all(update("A"))
         for field, value in (("restarted", (update("A"),)),
                              ("blocking_holders", (update("A"),)),
                              ("extra", 1)):
             with pytest.raises(AttributeError):
                 setattr(result, field, value)
-        again = locks.acquire_all(update("B"), LockMode.WRITE)
+        again = locks.acquire_all(update("B"))
         assert again is result
         assert again.restarted == () and again.blocking_holders == ()
 
@@ -155,19 +167,30 @@ KEYS = ("A", "B", "C", "D")
 
 
 class TestDifferentialAgainstReference:
-    """The production manager (with its uncontended fast path) and the
-    slow-path-only oracle in ``tests/lock_reference.py`` must agree on
-    every observable after every step of any program."""
+    """The index and the general read/write lock table of
+    ``tests/lock_reference.py`` agree on every observable after every
+    step of any one-CPU program.
+
+    Each step dispatches one transaction and ends its turn on the CPU.
+    The index is checked only on a non-empty table, as the server does;
+    the reference acquires at every dispatch.  A suspension installs into
+    the index and is mirrored as a reference acquire that must restart no
+    one.  Commit, restart and the release of an idle holder (supersede,
+    drop, crash) release both.  Each key has at most one update, because
+    the register table supersedes an older update before a newer one can
+    reach the manager.
+    """
 
     @given(
         read_sets=st.lists(
             st.lists(st.sampled_from(KEYS), min_size=1, max_size=3,
                      unique=True), min_size=1, max_size=4),
-        write_keys=st.lists(st.sampled_from(KEYS), min_size=1, max_size=4),
+        write_keys=st.lists(st.sampled_from(KEYS), min_size=1, max_size=4,
+                            unique=True),
         program=st.lists(st.tuples(
-            st.sampled_from(["acquire", "release", "restart"]),
             st.integers(min_value=0, max_value=7),
-            st.sampled_from([None, LockMode.READ, LockMode.WRITE])),
+            st.sampled_from(["suspend", "commit", "release-idle"]),
+            st.integers(min_value=0, max_value=7)),
             max_size=60))
     @settings(max_examples=300, deadline=None)
     def test_same_observables_after_every_step(self, read_sets,
@@ -176,23 +199,28 @@ class TestDifferentialAgainstReference:
                 + [update(key) for key in write_keys])
         real = LockManager()
         oracle = ReferenceLockManager()
-        for op, idx, forced_mode in program:
+        for idx, outcome, idle_idx in program:
             txn = pool[idx % len(pool)]
-            # Mostly the server's pairing (queries read, updates write),
-            # sometimes the other mode to reach every compatibility cell.
-            mode = forced_mode or (LockMode.READ if txn.is_query
-                                   else LockMode.WRITE)
-            if op != "acquire":
-                assert real.release_all(txn) == oracle.release_all(txn)
-            if op != "release":  # a restart is release + fresh request
-                got = real.acquire_all(txn, mode)
-                want = oracle.acquire_all(txn, mode)
-                assert got.restarted == want
+            want = oracle.acquire_all(txn, LockMode.of(txn))
+            if real.table:
+                got = real.acquire_all(txn)
+                assert set(got.restarted) == set(want)
+                assert len(got.restarted) == len(want)
                 assert got.blocking_holders == ()
+            else:
+                assert want == ()
+            if outcome == "suspend":
+                real.install(txn)
+                assert oracle.acquire_all(txn, LockMode.of(txn)) == ()
+            else:
+                real.release_all(txn)
+                oracle.release_all(txn)
+            if outcome == "release-idle":
+                idle = pool[idle_idx % len(pool)]
+                real.release_all(idle)
+                oracle.release_all(idle)
             assert ((real.conflicts, real.restarts_caused)
                     == (oracle.conflicts, oracle.restarts_caused))
-            for member in pool:
-                assert real.locks_of(member) == oracle.locks_of(member)
             for key in KEYS:
-                assert real.holders_of(key) == oracle.holders_of(key)
-                assert real.mode_of(key) is oracle.mode_of(key)
+                assert (set(real.table.get(key, ()))
+                        == oracle.holders_of(key))

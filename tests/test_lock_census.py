@@ -4,18 +4,19 @@
 makes the requester wait otherwise.  ``repro.db.locks.LockManager`` keeps
 only the first half: on one CPU the dispatched transaction outranks every
 holder the CPU has left.  These tests run randomized traces through
-``run_simulation`` under every policy and, at every conflict the
-lock manager meets, assert that
+``run_simulation`` under every policy, with the general read/write lock
+table of ``tests/lock_reference.py`` driven in lockstep, and at every
+conflict the reference finds they assert that
 
 * the policy's own 2PL-HP priority (``tests/lock_reference.py``) says the
   requester outranks the holder, so a waiting requester was never due;
 * the holder is alive and off the CPU;
 * the manager restarts exactly the conflicting holders.
 
-The server installs locks lazily (only a suspended transaction holds
-any), so the same runs also check, at every dispatch, that the table
-holds exactly the items of the live ``SUSPENDED`` transactions, and that
-a dispatch which skips ``acquire_all`` finds the table empty.
+The server installs a transaction's items only when it is suspended, so
+the same runs also check, at every dispatch, that the index holds exactly
+the items of the live ``SUSPENDED`` transactions, and that a dispatch
+which skips ``acquire_all`` finds it empty.
 """
 
 import dataclasses
@@ -25,14 +26,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.db.locks import LockManager, LockMode
+from repro.db.locks import LockManager
 from repro.db.server import ServerConfig
 from repro.db.transactions import Transaction, TxnStatus
 from repro.experiments.runner import run_simulation
 from repro.qc.generator import QCFactory
 from repro.scheduling import make_scheduler
 from repro.workload.synthetic import StockWorkloadGenerator, WorkloadSpec
-from tests.lock_reference import lock_priority
+from tests.lock_reference import (LockMode, ReferenceLockManager,
+                                  lock_priority)
 
 POLICIES = ("FIFO", "UH", "QH", "QUTS", "FIFO-UH", "FIFO-QH",
             "QUTS-inherit")
@@ -48,9 +50,12 @@ def run_checked(policy, update_preemption, tau, seed, n_stocks,
     scheduler = (make_scheduler(policy, tau=tau)
                  if policy.startswith("QUTS") else make_scheduler(policy))
     original = LockManager.acquire_all
+    original_install = LockManager.install
+    original_release = LockManager.release_all
     original_init = LockManager.__init__
     status = Transaction.status
-    managers = []
+    #: Each production manager and its lockstep reference.
+    managers = {}
     met = []
     #: Live transactions whose status is SUSPENDED.
     suspended = set()
@@ -60,39 +65,41 @@ def run_checked(policy, update_preemption, tau, seed, n_stocks,
 
     def recording_init(locks):
         original_init(locks)
-        managers.append(locks)
+        managers[locks] = ReferenceLockManager()
 
-    def checked_acquire_all(locks, txn, mode):
-        conflicting = set()
-        for key in txn.touched_items():
-            held = locks.mode_of(key)
-            if held is None or (held is LockMode.READ
-                                and mode is LockMode.READ):
-                continue
-            holders = locks.holders_of(key)
-            if holders != {txn}:
-                conflicting |= holders - {txn}
+    def checked_acquire_all(locks, txn):
+        conflicting = set(managers[locks].acquire_all(txn, LockMode.of(txn)))
         for holder in conflicting:
             assert lock_priority(scheduler, txn, holder), (txn, holder)
             assert holder.alive, holder
             assert holder.status is not TxnStatus.RUNNING, holder
-        result = original(locks, txn, mode)
+        result = original(locks, txn)
         assert set(result.restarted) == conflicting
         assert result.blocking_holders == ()
         met.append(len(conflicting))
         acquired.add(txn)
         return result
 
+    def checked_install(locks, txn):
+        # The reference already holds a transaction dispatched onto a
+        # non-empty index; one dispatched onto an empty index meets an
+        # empty reference, since nothing was installed while it ran.
+        assert managers[locks].acquire_all(txn, LockMode.of(txn)) == ()
+        original_install(locks, txn)
+
+    def mirrored_release_all(locks, txn):
+        managers[locks].release_all(txn)
+        original_release(locks, txn)
+
     def check_dispatch(txn):
-        """``txn`` is about to run: its locks, if any, are in place."""
-        (locks,) = managers
+        """``txn`` is about to run: only suspended transactions are
+        installed."""
+        ((locks, _),) = managers.items()
         if txn not in acquired:
             assert not locks.table, (txn, dict(locks.table))
         wanted = set()
         for holder in suspended:
             wanted.update(holder.touched_items())
-        if txn.status is not TxnStatus.SUSPENDED and txn in acquired:
-            wanted.update(txn.touched_items())  # a fresh txn, just locked
         assert set(locks.table) == wanted, (txn, set(locks.table), wanted)
         acquired.clear()
         dispatches.append(txn)
@@ -104,12 +111,22 @@ def run_checked(policy, update_preemption, tau, seed, n_stocks,
             suspended.add(txn)
         else:
             suspended.discard(txn)
+            # Left the CPU without suspending (commit, restart, drop,
+            # supersede): the reference's running holder lets go, which
+            # the index skips when it is empty.
+            if new is not TxnStatus.RUNNING:
+                for reference in managers.values():
+                    reference.release_all(txn)
         status.fset(txn, new)
 
     config = ServerConfig(update_preemption=update_preemption,
                           class_switch_overhead=switch_overhead)
     with unittest.mock.patch.object(LockManager, "acquire_all",
                                     checked_acquire_all), \
+            unittest.mock.patch.object(LockManager, "install",
+                                       checked_install), \
+            unittest.mock.patch.object(LockManager, "release_all",
+                                       mirrored_release_all), \
             unittest.mock.patch.object(LockManager, "__init__",
                                        recording_init), \
             unittest.mock.patch.object(Transaction, "status",

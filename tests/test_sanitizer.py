@@ -11,10 +11,14 @@ clean workload.
 
 from __future__ import annotations
 
+import pathlib
+
 import pytest
 
 from repro.db.transactions import Update
 from repro.experiments.config import ExperimentConfig
+from repro.analysis.core import EXIT_CLEAN, EXIT_ERROR
+from repro.experiments import sanitize as sanitize_mod
 from repro.experiments.runner import run_simulation
 from repro.experiments.sanitize import (PLANTED_SET_ITER_LINE, Scenario,
                                         check_perturbation, check_races,
@@ -312,11 +316,42 @@ class TestPlantedBugs:
         assert "planted-b" in finding.second.label
         assert finding.first.path.endswith("sanitize.py")
 
+    def test_planted_order_report_is_the_same_from_any_cwd(
+            self, tmp_path, monkeypatch, capsys):
+        outputs = []
+        for cwd in (pathlib.Path(__file__).parent, tmp_path):
+            monkeypatch.chdir(cwd)
+            assert sanitize_mod._planted_main("order") == EXIT_CLEAN
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        # Relative to the project root, so any checkout prints it too.
+        assert "(src/repro/experiments/sanitize.py:" in outputs[0]
+
     def test_planted_set_iteration_is_detected_at_line(self):
         findings = planted_set_iter_findings()
         assert any(finding.rule_id == "no-set-iteration"
                    and finding.line == PLANTED_SET_ITER_LINE
                    for finding in findings), findings
+
+
+# ----------------------------------------------------------------------
+class TestOutsideACheckout:
+    """With no ``src/`` to lint, ``repro sanitize`` stops before any
+    scenario runs, unless the static rules are skipped."""
+
+    def test_fails_before_any_scenario(self, tmp_path, monkeypatch,
+                                       capsys):
+        monkeypatch.chdir(tmp_path)
+        built = []
+        monkeypatch.setattr(sanitize_mod, "sanitize_scenarios",
+                            lambda *args: built.append(args) or [])
+        assert sanitize_mod.main(["--scale", "smoke"]) == EXIT_ERROR
+        assert built == []
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "--skip-static" in err
+        assert sanitize_mod.main(["--scale", "smoke",
+                                  "--skip-static"]) == EXIT_CLEAN
+        assert len(built) == 1
 
 
 # ----------------------------------------------------------------------
