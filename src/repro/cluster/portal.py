@@ -104,7 +104,7 @@ class RecoveryIncident:
             if any(r is None for r in rtos):
                 return None
             return max(rtos, default=0.0)
-        if any(txn.alive for txn in self.resync_txns):
+        if any(txn.status.live for txn in self.resync_txns):
             return None
         if not self.resync_txns:
             return 0.0
@@ -360,7 +360,7 @@ class ReplicatedPortal:
             handle.server.submit_query(query)
         else:
             handle.server.adopt_query(query)
-        if query.alive:  # not rejected by admission control
+        if query.status.live:  # not rejected by admission control
             self._remember_backup(query, index)
 
     def broadcast_update(self, arrival_time: float, exec_ms: float,
@@ -558,8 +558,7 @@ class ReplicatedPortal:
     def _lose_update(self, update: Update, handle: ReplicaHandle) -> None:
         """An in-flight update died with its replica; the source is
         durable, so it is queued for re-push at recovery."""
-        update.status = TxnStatus.LOST_CRASH
-        update.finish_time = self.env.now
+        update.end(TxnStatus.LOST_CRASH, self.env.now)
         self._observe("update_lost", update)
         if self._probe is not None:
             self._probe.lost(self.env.now, update)
@@ -856,8 +855,7 @@ class ReplicatedPortal:
     def _lose_query(self, query: Query, ledger: ProfitLedger) -> None:
         del self._retrying[query]
         self._backups.pop(query.txn_id, None)
-        query.status = TxnStatus.LOST_CRASH
-        query.finish_time = self.env.now
+        query.end(TxnStatus.LOST_CRASH, self.env.now)
         ledger.on_query_lost_to_crash(query, self.env.now)
         self._observe("query_lost", query)
         if self._probe is not None:

@@ -110,22 +110,21 @@ class Database:
         self._register[key] = update
         if superseded is None or not self.invalidation:
             return None
-        if superseded.alive:
-            superseded.status = TxnStatus.DROPPED_SUPERSEDED
-            superseded.finish_time = now
+        if superseded.status.live:
+            superseded.end(TxnStatus.DROPPED_SUPERSEDED, now)
         item.record_superseded()
         return superseded
 
     def pending_update(self, key: str) -> Update | None:
         """The registered pending update for ``key`` (if any)."""
         pending = self._register.get(key)
-        if pending is None or pending.done:
+        if pending is None or not pending.status.live:
             return None
         return pending
 
     def pending_count(self) -> int:
         """Number of items with a live pending update."""
-        return sum(1 for u in self._register.values() if u.alive)
+        return sum(1 for u in self._register.values() if u.status.live)
 
     def apply_update(self, update: Update, now: float) -> None:
         """Commit an update: refresh the replica and clear the register."""

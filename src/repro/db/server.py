@@ -208,8 +208,7 @@ class DatabaseServer:
             probe.arrive(now, query)
         if self.admission is not None and not self.admission.admit(
                 query, self):
-            query.status = TxnStatus.REJECTED
-            query.finish_time = now
+            query.end(TxnStatus.REJECTED, now)
             self.ledger.on_query_rejected(
                 query, now,
                 shed=getattr(self.admission, "is_shedding", False))
@@ -344,7 +343,7 @@ class DatabaseServer:
                         # A crash already stranded txn and a superseded
                         # update is dead: requeueing would resurrect them.
                         # A suspended txn keeps status, locks and progress.
-                        if not self._crashed and txn.alive:
+                        if not self._crashed and txn.status.live:
                             self.scheduler.requeue(txn)
                     self._running = None
                 if probe is not None:
@@ -428,7 +427,7 @@ class DatabaseServer:
                 # Our work is moot; locks were already released on register.
                 return "stop"
             return "continue"
-        if not txn.alive:
+        if not txn.status.live:
             # Died (e.g. superseded) between the interrupt being raised
             # and delivered: never suspend/requeue a terminal transaction.
             return "stop"
@@ -436,7 +435,7 @@ class DatabaseServer:
             arrival = cause.arrival
             # Re-validate: the arrival may have died (superseded) or the
             # situation may have changed since the interrupt was raised.
-            if arrival.alive and self.scheduler.preempts(txn, arrival):
+            if arrival.status.live and self.scheduler.preempts(txn, arrival):
                 txn.preemptions += 1
                 if self._probe is not None:
                     self._probe.preempt(self.env.now, txn, arrival)
@@ -479,8 +478,7 @@ class DatabaseServer:
         else:
             assert isinstance(txn, Update)
             update = txn
-            update.finish_time = now
-            update.status = TxnStatus.COMMITTED
+            update.end(TxnStatus.COMMITTED, now)
             self.database.apply_update(update, now)
             if self.wal is not None:
                 self.wal.append_applied(update, now)
@@ -502,8 +500,7 @@ class DatabaseServer:
         return self.database.query_value_distance(query)
 
     def _drop_query(self, query: Query) -> None:
-        query.finish_time = self.env.now
-        query.status = TxnStatus.DROPPED_LIFETIME
+        query.end(TxnStatus.DROPPED_LIFETIME, self.env.now)
         self.locks.release_all(query)
         self.ledger.on_query_dropped(query, self.env.now)
         self.scheduler.notify_query_finished(query)
@@ -570,13 +567,13 @@ class DatabaseServer:
         self._crashed = True
         stranded: list[Transaction] = []
         running = self._running
-        if running is not None and running.alive:
+        if running is not None and running.status.live:
             stranded.append(running)
         while True:
             txn = self.scheduler.next_transaction(self.env.now)
             if txn is None:
                 break
-            if txn.alive:
+            if txn.status.live:
                 stranded.append(txn)
         for txn in stranded:
             self.locks.release_all(txn)
@@ -663,9 +660,9 @@ class DatabaseServer:
                 break
             leftovers.append(txn)
         for txn in leftovers:
-            if not txn.alive:
+            if not txn.status.live:
                 continue
-            txn.status = TxnStatus.UNFINISHED
+            txn.end(TxnStatus.UNFINISHED)
             if self._probe is not None:
                 self._probe.unfinished(self.env.now, txn)
             if txn.is_query:

@@ -11,6 +11,9 @@ The paper's system model (§2.1) has exactly two transaction classes:
 Both classes share the lifecycle bookkeeping needed by the preemptive server
 (remaining service time, restarts, suspension) and by the metrics layer
 (arrival / commit timestamps, measured response time and staleness).
+``status`` moves between live states by plain writes; every exit from the
+live set (commit, drop, supersession, rejection, crash loss, end of run)
+is one :meth:`Transaction.end` call.
 """
 
 from __future__ import annotations
@@ -71,7 +74,7 @@ class Transaction:
     """Common state shared by queries and updates."""
 
     __slots__ = (
-        "txn_id", "arrival_time", "exec_time", "remaining", "_status",
+        "txn_id", "arrival_time", "exec_time", "remaining", "status",
         "restarts", "start_time", "finish_time", "preemptions", "_queue",
         "on_terminal",
     )
@@ -94,7 +97,7 @@ class Transaction:
         self.exec_time = exec_time
         #: Service time still owed; decremented as the CPU runs the txn.
         self.remaining = exec_time
-        self._status = TxnStatus.CREATED
+        self.status = TxnStatus.CREATED
         #: The TransactionQueue currently holding this transaction (back
         #: reference maintained by the queue itself), or None.  Lets the
         #: queue learn about deaths *immediately* — e.g. an update
@@ -108,41 +111,37 @@ class Transaction:
         self.finish_time: float | None = None
         #: Number of times the transaction was preempted off the CPU.
         self.preemptions = 0
-        #: Called exactly once, with the transaction, on the live →
-        #: terminal status transition (commit, drop, rejection, crash
-        #: loss, end-of-run finalisation — *any* terminal state).  Unlike
-        #: ``DatabaseServer.query_outcome_hook`` this covers every exit
-        #: path, which is what a coordinator fanning a query out across
-        #: shards needs to resolve its merge.
+        #: Called exactly once, with the transaction, by :meth:`end`.
+        #: Unlike ``DatabaseServer.query_outcome_hook`` this covers every
+        #: exit path, which is what a coordinator fanning a query out
+        #: across shards needs to resolve its merge.
         self.on_terminal: typing.Callable[["Transaction"], None] | None = \
             None
 
     # ------------------------------------------------------------------
-    @property
-    def status(self) -> TxnStatus:
-        return self._status
-
-    @status.setter
-    def status(self, new: TxnStatus) -> None:
-        old = self._status
-        self._status = new
-        if old.live and not new.live:
-            if self._queue is not None:
-                # Died while queued (e.g. superseded by a newer update):
-                # tell the owning queue so its live accounting stays
-                # exact.
-                self._queue._note_death(self)
-            if self.on_terminal is not None:
-                self.on_terminal(self)
+    def end(self, status: TxnStatus, now: float | None = None) -> None:
+        """The one live → terminal transition: set ``status`` (and
+        ``finish_time`` if ``now`` is given), tell the owning queue, then
+        clear and fire ``on_terminal`` — clearing first frees a fan-out's
+        shared state without the cyclic collector.  ``ValueError`` for a
+        live ``status`` or a transaction that has already ended."""
+        if status.live or not self.status.live:
+            raise ValueError(f"{self!r} cannot end as {status.value}")
+        self.status = status
+        if now is not None:
+            self.finish_time = now
+        if self._queue is not None:
+            self._queue._note_death(self)
+        hook = self.on_terminal
+        if hook is not None:
+            self.on_terminal = None
+            hook(self)
 
     @property
     def alive(self) -> bool:
-        """True while the transaction can still complete."""
-        return self._status.live
-
-    @property
-    def done(self) -> bool:
-        return not self.alive
+        """``status.live``; the library reads the flag itself, this stays
+        for ``bench/tracing.py``."""
+        return self.status.live
 
     def response_time(self) -> float:
         """Commit latency; only valid for finished transactions."""
@@ -228,11 +227,10 @@ class Query(Transaction):
         self.remaining = scaled
 
     def commit(self, now: float, staleness: float) -> None:
-        """Every tier's commit rule: price the answer, then flip the
-        status (so ``on_terminal`` observers see the priced record).  A
-        degraded answer forfeits QoD; a shadow-priced sub-query earns
-        nothing, its contract being priced by the coordinating layer."""
-        self.finish_time = now
+        """Every tier's commit rule: price the answer, then end (so
+        ``on_terminal`` observers see the priced record).  A degraded
+        answer forfeits QoD; a shadow-priced sub-query earns nothing, its
+        contract being priced by the coordinating layer."""
         self.staleness = staleness
         qos, qod = self.qc.evaluate(now - self.arrival_time, staleness)
         if self.degraded:
@@ -241,7 +239,7 @@ class Query(Transaction):
             qos = qod = 0.0
         self.qos_profit = qos
         self.qod_profit = qod
-        self.status = TxnStatus.COMMITTED
+        self.end(TxnStatus.COMMITTED, now)
 
     def __repr__(self) -> str:
         return (f"<Query #{self.txn_id} items={self.items!r} "

@@ -9,9 +9,9 @@ so a transaction is never queued twice.
 Membership *is* the back reference: ``txn`` is a member of ``queue`` iff
 ``txn._queue is queue`` (no parallel id set to keep in step).  Liveness
 accounting is unified around one invariant: **membership implies
-liveness**.  The transaction's status setter reports the moment it leaves
-the live set (see :class:`repro.db.transactions.Transaction`), so ``pop``
-and in-queue death retire membership at the same place.  That makes
+liveness**.  :meth:`repro.db.transactions.Transaction.end`, the one way
+out of the live set, reports the moment a transaction leaves it, so
+``pop`` and in-queue death retire membership at the same place.  That makes
 ``len(queue)`` — and the per-class ``live_queries`` / ``live_updates``
 counts the schedulers' ``pending_*`` introspection and the invariant
 monitor hit on every sample — an exact O(1) read instead of the former
@@ -65,7 +65,7 @@ class TransactionQueue:
     def push(self, txn: Transaction) -> None:
         """Enqueue ``txn`` unless it is already queued or no longer alive."""
         queue = txn._queue
-        if queue is self or not txn.alive:
+        if queue is self or not txn.status.live:
             return
         assert queue is None, f"{txn!r} already waits in {queue!r}"
         key = self.policy.key(txn)
@@ -84,14 +84,14 @@ class TransactionQueue:
             if txn._queue is not self:
                 continue
             self._retire(txn)
-            if txn.alive:
+            if txn.status.live:
                 return txn
         return None
 
     def _note_death(self, txn: Transaction) -> None:
-        """Status-setter hook: a queued transaction just left the live
-        set.  Retire its membership immediately so live counts stay exact
-        (its heap entry is reclaimed lazily)."""
+        """Called by ``Transaction.end``: a queued transaction just left
+        the live set.  Retire its membership immediately so live counts
+        stay exact (its heap entry is reclaimed lazily)."""
         if txn._queue is self:
             self._retire(txn)
             self._maybe_compact()

@@ -218,8 +218,8 @@ class QCGateway:
                 pass
         for txn_id in list(self._waiters):
             txn, _ = self._waiters[txn_id]
-            if txn.alive:
-                txn.status = TxnStatus.UNFINISHED
+            if txn.status.live:
+                txn.end(TxnStatus.UNFINISHED)
             if txn.is_query:
                 self.ledger.on_query_unfinished(
                     typing.cast(Query, txn))
@@ -267,8 +267,7 @@ class QCGateway:
             return future
         if self.admission is not None and not self.admission.admit(
                 query, typing.cast(typing.Any, self)):
-            query.status = TxnStatus.REJECTED
-            query.finish_time = now
+            query.end(TxnStatus.REJECTED, now)
             self.ledger.on_query_rejected(
                 query, now,
                 shed=getattr(self.admission, "is_shedding", False))
@@ -349,7 +348,7 @@ class QCGateway:
                 else:  # pragma: no cover - scheduler declined to pick
                     await clock.sleep_until(clock.now)
                 continue
-            if not txn.alive:
+            if not txn.status.live:
                 continue  # lazily-deleted entry (e.g. superseded update)
             now = clock.now
             if (self.config.drop_expired and txn.is_query
@@ -364,8 +363,7 @@ class QCGateway:
         return now >= deadline
 
     def _drop_expired(self, query: Query, now: float) -> None:
-        query.status = TxnStatus.DROPPED_LIFETIME
-        query.finish_time = now
+        query.end(TxnStatus.DROPPED_LIFETIME, now)
         self.ledger.on_query_dropped(query, now)
         self.scheduler.notify_query_finished(query)
         if self._probe is not None:
@@ -423,7 +421,7 @@ class QCGateway:
                     cpu.charged_ms += slice_ms
                     cpu.busy_wall_ms += woke - self._cpu_woke_at
                 self._cpu_woke_at = woke
-                if not txn.alive:
+                if not txn.status.live:
                     return  # superseded mid-run; already resolved
                 if self._probe is not None:
                     self._probe.cpu_slice(start, end, txn)
@@ -459,8 +457,7 @@ class QCGateway:
                         for key in query.items}))
         else:
             update = typing.cast(Update, txn)
-            update.finish_time = now
-            update.status = TxnStatus.COMMITTED
+            update.end(TxnStatus.COMMITTED, now)
             self.database.apply_update(update, now)
             self.ledger.on_update_applied(update, now)
             self._resolve(update.txn_id, GatewayReply(

@@ -20,8 +20,9 @@ shard, each carrying
   must finish inside the parent's lifetime, not restart the clock).
 
 The merge resolves when the *last* sub-query reaches a terminal state
-(observed via ``Transaction.on_terminal``, which fires on every exit
-path — commit, drop, crash loss, end-of-run finalisation):
+(observed via ``Transaction.on_terminal``, which ``Transaction.end``
+clears and fires on every exit path — commit, drop, crash loss,
+end-of-run finalisation):
 
 * ≥ 1 sub committed → the parent commits at the resolution time with
   staleness aggregated over the committed slices; if any slice failed
@@ -145,7 +146,6 @@ class ShardPlanner:
         committed = [sub for sub in state.subs
                      if sub.status is TxnStatus.COMMITTED]
         failed = len(state.subs) - len(committed)
-        parent.finish_time = now
         if committed:
             # Partial result: answer with what arrived, forfeit the
             # freshness half — repro.serve's degraded-commit rule.
@@ -166,15 +166,15 @@ class ShardPlanner:
         # Nothing answered: the parent inherits the dominant failure.
         statuses = {sub.status for sub in state.subs}
         if TxnStatus.LOST_CRASH in statuses:
-            parent.status = TxnStatus.LOST_CRASH
+            parent.end(TxnStatus.LOST_CRASH, now)
             self.ledger.on_query_lost_to_crash(parent, now)
             kind = "query_lost"
         elif statuses == {TxnStatus.UNFINISHED}:
-            parent.status = TxnStatus.UNFINISHED
+            parent.end(TxnStatus.UNFINISHED, now)
             self.ledger.on_query_unfinished(parent)
             kind = "query_unfinished"
         else:
-            parent.status = TxnStatus.DROPPED_LIFETIME
+            parent.end(TxnStatus.DROPPED_LIFETIME, now)
             self.ledger.on_query_dropped(parent, now)
             kind = "query_dropped"
         if self.monitor is not None:

@@ -37,6 +37,10 @@ class RandomStream(random.Random):
     def __repr__(self) -> str:
         return f"<RandomStream {self.name!r} seed={self.initial_seed}>"
 
+    def __reduce__(self) -> tuple[typing.Any, ...]:
+        # Random's own rebuilds with no arguments, which __new__ refuses.
+        return type(self), (self.initial_seed, self.name), self.getstate()
+
     # ------------------------------------------------------------------
     # Distribution helpers used throughout the workload generator
     # ------------------------------------------------------------------

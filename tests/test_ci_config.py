@@ -55,3 +55,19 @@ def test_cli_subcommands_accept_help(word, capsys):
         cli_main([word, "--help"])
     assert exit_info.value.code == 0
     assert "usage" in capsys.readouterr().out
+
+
+def test_every_ci_only_golden_is_checked_by_a_step():
+    # ``test_cli_goldens.py`` skips these entries, so an entry no step
+    # names would be checked nowhere.
+    goldens = json.loads((ROOT / "tests" / "cli_goldens.json").read_text())
+    ci_only = {name for name, golden in goldens.items()
+               if golden.get("ci_only")}
+    assert ci_only
+    checked = set()
+    for job in yaml.safe_load(CI.read_text())["jobs"].values():
+        for step in job["steps"]:
+            checked.update(re.findall(r"check_cli_golden\.py((?:\s+[\w-]+)+)",
+                                      step.get("run", "")))
+    named = {name for group in checked for name in group.split()}
+    assert ci_only <= named, sorted(ci_only - named)

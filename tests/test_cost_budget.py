@@ -10,6 +10,10 @@ on smoke slices of the four benchmark topologies:
   else (interruptions, process exits, periodic and fault processes);
 * ``Environment.fast_forwards`` — the executor's timeouts that
   ``advance`` replaced (a floor too, so the saving cannot vanish);
+* ``advance`` calls refused (the executor had to yield a timeout), split
+  by what sits at the head of the kernel queue: a pump's event, another
+  server's executor, or anything else (an interruption, a periodic or
+  fault process, the caller's own pending event);
 * ``LockManager.acquire_all`` calls;
 * Python-level calls, counted by ``sys.setprofile`` (a generator resume
   counts as a call).
@@ -112,7 +116,9 @@ def measure(topology):
     rounded up."""
     counts = dict.fromkeys(("events_executor", "events_pump",
                             "events_other", "fast_forwards",
-                            "acquire_all", "python_calls"), 0)
+                            "refused_pump", "refused_executor",
+                            "refused_other", "acquire_all",
+                            "python_calls"), 0)
     envs = []
 
     class CensusEnvironment(Environment):
@@ -121,6 +127,26 @@ def measure(topology):
             self.telemetry = _Census(counts)
             envs.append(self)
 
+        def advance(self, delay):
+            if Environment.advance(self, delay):
+                return True
+            # Inline, so that the profiler skips one frame (below) and
+            # ``python_calls`` stays the count without this census.
+            owner = "other"
+            if self._queue:
+                for callback in self._queue[0][3].callbacks:
+                    process = getattr(callback, "__self__", None)
+                    if (isinstance(process, Process)
+                            and process is not self._active_proc):
+                        name = process.name  # _owner(), inlined
+                        owner = ("executor" if name == "db-server" else
+                                 "pump" if "-source" in name else "other")
+                        break
+            counts[f"refused_{owner}"] += 1
+            return False
+
+    census_advance = CensusEnvironment.advance.__code__
+
     acquire_all = LockManager.acquire_all
 
     def counting_acquire_all(locks, txn):
@@ -128,7 +154,7 @@ def measure(topology):
         return acquire_all(locks, txn)
 
     def profile(frame, event, arg):
-        if event == "call":
+        if event == "call" and frame.f_code is not census_advance:
             counts["python_calls"] += 1
 
     with contextlib.ExitStack() as stack:
@@ -150,45 +176,59 @@ def measure(topology):
 
 
 #: Per 1,000 transactions: (ceiling, floor or None).  Each ceiling is the
-#: measured value plus 1 % (events, ``acquire_all``) or 2 % (Python
-#: calls); "was" is the value before fast-forwarding and lazy lock
+#: measured value plus 1 % (events, refusals, ``acquire_all``) or 2 %
+#: (Python calls); "was" is the value before fast-forwarding and lazy lock
 #: installation.  ``fast_forwards`` did not exist then: each one replaces
 #: one executor timeout, so its ceiling is the executor's events then,
 #: and its floor is the measured value less 1 %.  The suspended-holder
 #: index that replaced the read/write lock table lowered ``acquire_all``
-#: (it is no longer called at suspension) and Python calls again.
+#: (it is no longer called at suspension) and Python calls again; making
+#: ``Transaction.status`` a plain slot (one ``end()`` call per exit in
+#: place of a setter on every write) lowered Python calls by 6-9 %.
 BUDGETS = {
     "quts": {
         "events_executor": (630, None),     # measured 623; was 1311
         "events_pump": (1009, None),        # measured 999; was 999
         "events_other": (16, None),         # measured 15; was 15
         "fast_forwards": (1311, 681),       # measured 688; was 0
+        "refused_pump": (571, None),        # measured 565
+        "refused_executor": (0, None),      # measured 0 (one server)
+        "refused_other": (6, None),         # measured 5
         "acquire_all": (355, None),         # measured 351; was 1118
-        "python_calls": (63021, None),      # measured 61785; was 67553
+        "python_calls": (57967, None),      # measured 56830; was 67553
     },
     "uh": {
         "events_executor": (585, None),     # measured 579; was 1430
         "events_pump": (1009, None),        # measured 999; was 999
         "events_other": (481, None),        # measured 476; was 476
         "fast_forwards": (1430, 842),       # measured 851; was 0
+        "refused_pump": (650, None),        # measured 643
+        "refused_executor": (0, None),      # measured 0 (one server)
+        "refused_other": (174, None),       # measured 172
         "acquire_all": (1176, None),        # measured 1164; was 1210
-        "python_calls": (72364, None),      # measured 70945; was 75007
+        "python_calls": (66877, None),      # measured 65565; was 75007
     },
     "wal_crash": {
         "events_executor": (3238, None),    # measured 3205; was 3646
         "events_pump": (1009, None),        # measured 999; was 999
         "events_other": (119, None),        # measured 117; was 117
         "fast_forwards": (3646, 437),       # measured 442; was 0
+        "refused_pump": (627, None),        # measured 620
+        "refused_executor": (2171, None),   # measured 2149
+        "refused_other": (23, None),        # measured 22
         "acquire_all": (754, None),         # measured 746; was 3023
-        "python_calls": (165854, None),     # measured 162601; was 171676
+        "python_calls": (151714, None),     # measured 148739; was 171676
     },
     "shard_skew": {
         "events_executor": (3582, None),    # measured 3546; was 3730
         "events_pump": (1009, None),        # measured 999; was 999
         "events_other": (211, None),        # measured 208; was 208
         "fast_forwards": (3730, 182),       # measured 184; was 0
+        "refused_pump": (465, None),        # measured 460
+        "refused_executor": (1690, None),   # measured 1673
+        "refused_other": (74, None),        # measured 73
         "acquire_all": (222, None),         # measured 219; was 2103
-        "python_calls": (141380, None),     # measured 138607; was 146617
+        "python_calls": (132308, None),     # measured 129713; was 146617
     },
 }
 

@@ -1,6 +1,9 @@
 """Unit tests for the transaction model."""
 
+import ast
 import math
+import pathlib
+import types
 
 import pytest
 
@@ -51,7 +54,7 @@ class TestTransactionBasics:
         assert update.status is TxnStatus.CREATED
         assert update.remaining == 2.0
         assert update.restarts == 0
-        assert update.alive
+        assert update.status.live
 
     def test_response_time_requires_finish(self):
         update = Update(5.0, 2.0, "X")
@@ -71,9 +74,10 @@ class TestTransactionBasics:
         update = Update(0.0, 1.0, "X")
         for status in LIVE_STATUSES:
             update.status = status
-            assert update.alive
-        update.status = TxnStatus.COMMITTED
-        assert update.done
+            assert update.status.live
+        update.end(TxnStatus.COMMITTED, 3.0)
+        assert not update.status.live
+        assert update.finish_time == 3.0
 
     def test_touched_items_abstract(self):
         txn = Transaction.__new__(Transaction)
@@ -168,11 +172,13 @@ class TestLifecycleTable:
             assert member.live is (member in LIVE_STATUSES), member
 
     def test_alive_and_done_follow_the_flag(self):
+        # ``done`` is gone; ``alive`` is a read-only view of the flag.
+        assert not hasattr(Transaction, "done")
+        assert Transaction.alive.fset is None
         for member in TxnStatus:
             update = Update(0.0, 1.0, "X")
             update.status = member
             assert update.alive is member.live
-            assert update.done is (not member.live)
 
     def test_class_predicates_are_exact(self):
         base = Transaction(0.0, 1.0)
@@ -199,11 +205,109 @@ class TestLifecycleTable:
         queue.push(update)
         fired = []
         update.on_terminal = fired.append
-        update.status = live            # live -> live: silent
+        update.status = live            # live -> live: a plain write
         assert fired == [] and queue.deaths == [] and len(queue) == 1
-        update.status = terminal        # the one live -> terminal edge
+        update.end(terminal, 4.0)       # the one live -> terminal edge
         assert fired == [update] and queue.deaths == [update]
-        assert len(queue) == 0
-        for again in TERMINAL:          # terminal -> terminal: silent
-            update.status = again
+        assert len(queue) == 0 and update.on_terminal is None
+        assert update.status is terminal and update.finish_time == 4.0
+        for again in TERMINAL:          # terminal -> terminal: raises
+            with pytest.raises(ValueError):
+                update.end(again, 5.0)
         assert fired == [update] and queue.deaths == [update]
+        assert update.status is terminal and update.finish_time == 4.0
+
+
+class TestOneTerminalTransition:
+    """``Transaction.end`` is the only way out of the live set: outside
+    it, ``src/`` writes only live statuses, and never reads ``alive``
+    (kept for ``bench/tracing.py``, which reads it)."""
+
+    SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+
+    def _walk(self):
+        for path in sorted(self.SRC.rglob("*.py")):
+            tree = ast.parse(path.read_text(), filename=str(path))
+            yield path, tree
+
+    def test_status_is_a_plain_slot(self):
+        assert isinstance(Transaction.__dict__["status"],
+                          types.MemberDescriptorType)
+
+    def test_only_end_writes_a_terminal_status(self):
+        live = {member.name for member in LIVE_STATUSES}
+        offenders = []
+        for path, tree in self._walk():
+            exempt = {node for cls in ast.walk(tree)
+                      if isinstance(cls, ast.ClassDef)
+                      and cls.name == "Transaction"
+                      for method in cls.body
+                      if isinstance(method, ast.FunctionDef)
+                      and method.name == "end"
+                      for node in ast.walk(method)}
+            for node in ast.walk(tree):
+                if not isinstance(node, (ast.Assign, ast.AnnAssign,
+                                         ast.AugAssign)) or node in exempt:
+                    continue
+                targets = getattr(node, "targets", None) or [node.target]
+                if not any(isinstance(target, ast.Attribute)
+                           and target.attr == "status"
+                           for target in targets):
+                    continue
+                value = node.value
+                if not (isinstance(value, ast.Attribute)
+                        and isinstance(value.value, ast.Name)
+                        and value.value.id == "TxnStatus"
+                        and value.attr in live):
+                    offenders.append(f"{path.relative_to(self.SRC)}:"
+                                     f"{node.lineno}")
+        assert not offenders
+
+    def test_the_scan_sees_src(self):
+        assert sum(1 for _ in self._walk()) > 50
+
+    def test_src_never_reads_alive(self):
+        readers = [f"{path.relative_to(self.SRC)}:{node.lineno}"
+                   for path, tree in self._walk()
+                   for node in ast.walk(tree)
+                   if isinstance(node, ast.Attribute)
+                   and node.attr == "alive"]
+        assert not readers
+
+
+class TestEnd:
+    def test_a_live_status_cannot_end(self):
+        update = Update(0.0, 1.0, "X")
+        for member in LIVE:
+            with pytest.raises(ValueError):
+                update.end(member, 1.0)
+        assert update.status is TxnStatus.CREATED
+        assert update.finish_time is None
+
+    def test_without_now_finish_time_stays_unset(self):
+        update = Update(0.0, 1.0, "X")
+        update.end(TxnStatus.UNFINISHED)
+        assert update.status is TxnStatus.UNFINISHED
+        assert update.finish_time is None
+
+    def test_hook_sees_the_ended_record_once(self):
+        update = Update(0.0, 1.0, "X")
+        seen = []
+
+        def hook(txn):
+            seen.append((txn.status, txn.finish_time, txn.on_terminal))
+            with pytest.raises(ValueError):
+                txn.end(TxnStatus.COMMITTED, 9.0)
+
+        update.on_terminal = hook
+        update.end(TxnStatus.DROPPED_SUPERSEDED, 2.0)
+        assert seen == [(TxnStatus.DROPPED_SUPERSEDED, 2.0, None)]
+
+    def test_commit_prices_then_ends(self):
+        query = Query(1.0, 5.0, ("A",), free_qc())
+        seen = []
+        query.on_terminal = lambda txn: seen.append(
+            (txn.status, txn.finish_time, txn.staleness))
+        query.commit(6.0, 0.0)
+        assert seen == [(TxnStatus.COMMITTED, 6.0, 0.0)]
+        assert query.response_time() == 5.0

@@ -38,7 +38,7 @@ class TestInvalidationToggle:
         db.register_update(old, now=1.0)
         assert db.register_update(new, now=2.0) is None
         assert old.status is not TxnStatus.DROPPED_SUPERSEDED
-        assert old.alive
+        assert old.status.live
 
     def test_disabled_requires_applying_both(self):
         db = Database(invalidation=False)

@@ -53,7 +53,8 @@ def run_checked(policy, update_preemption, tau, seed, n_stocks,
     original_install = LockManager.install
     original_release = LockManager.release_all
     original_init = LockManager.__init__
-    status = Transaction.status
+    #: The slot descriptor, wrapped below to observe every status write.
+    status = Transaction.__dict__["status"]
     #: Each production manager and its lockstep reference.
     managers = {}
     met = []
@@ -71,7 +72,7 @@ def run_checked(policy, update_preemption, tau, seed, n_stocks,
         conflicting = set(managers[locks].acquire_all(txn, LockMode.of(txn)))
         for holder in conflicting:
             assert lock_priority(scheduler, txn, holder), (txn, holder)
-            assert holder.alive, holder
+            assert holder.status.live, holder
             assert holder.status is not TxnStatus.RUNNING, holder
         result = original(locks, txn)
         assert set(result.restarted) == conflicting
@@ -117,7 +118,7 @@ def run_checked(policy, update_preemption, tau, seed, n_stocks,
             if new is not TxnStatus.RUNNING:
                 for reference in managers.values():
                     reference.release_all(txn)
-        status.fset(txn, new)
+        status.__set__(txn, new)
 
     config = ServerConfig(update_preemption=update_preemption,
                           class_switch_overhead=switch_overhead)
@@ -130,7 +131,8 @@ def run_checked(policy, update_preemption, tau, seed, n_stocks,
             unittest.mock.patch.object(LockManager, "__init__",
                                        recording_init), \
             unittest.mock.patch.object(Transaction, "status",
-                                       property(status.fget, set_status)):
+                                       property(status.__get__,
+                                                set_status)):
         run_simulation(scheduler, trace, QCFactory.balanced(),
                        master_seed=seed, server_config=config)
     assert dispatches, "no transaction was ever dispatched"

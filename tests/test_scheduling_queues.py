@@ -52,7 +52,7 @@ class TestInvalidation:
         dead, alive = update(at=1.0), update(at=2.0)
         q.push(dead)
         q.push(alive)
-        dead.status = TxnStatus.DROPPED_SUPERSEDED
+        dead.end(TxnStatus.DROPPED_SUPERSEDED)
         assert q.pop() is alive
         assert q.pop() is None
         assert len(q) == 0
@@ -62,13 +62,13 @@ class TestInvalidation:
         dead, alive = update(at=1.0), update(at=2.0)
         q.push(dead)
         q.push(alive)
-        dead.status = TxnStatus.DROPPED_SUPERSEDED
+        dead.end(TxnStatus.DROPPED_SUPERSEDED)
         assert len(q) == 1
 
     def test_dead_push_ignored(self):
         q = TransactionQueue(FCFSPriority())
         dead = update()
-        dead.status = TxnStatus.COMMITTED
+        dead.end(TxnStatus.COMMITTED)
         q.push(dead)
         assert q.pop() is None
 
@@ -94,7 +94,7 @@ class TestMembership:
         q = TransactionQueue(FCFSPriority())
         dead = update()
         q.push(dead)
-        dead.status = TxnStatus.COMMITTED
+        dead.end(TxnStatus.COMMITTED)
         assert q.approximate_len() == 1
         assert len(q) == 0
 
@@ -117,22 +117,26 @@ class TestLiveCounts:
                 for k in range(12)]
         # The oracle is the queue's observable contract, not its
         # representation: queued = pushed while alive, and not since
-        # popped or killed.
-        queued = set()
+        # popped or killed; each kill fires its ``on_terminal`` once.
+        queued, killed, fired = set(), [], []
+        for txn in pool:
+            txn.on_terminal = fired.append
         for op, idx in ops:
             txn = pool[idx]
             if op == "push":
                 q.push(txn)
-                if txn.alive:
+                if txn.status.live:
                     queued.add(txn)
             elif op == "pop":
                 head = min(queued, key=lambda t: t.arrival_time,
                            default=None)
                 assert q.pop() is head
                 queued.discard(head)
-            elif txn.alive:  # kill: death while (possibly) queued
-                txn.status = TxnStatus.DROPPED_SUPERSEDED
+            elif txn.status.live:  # kill: death while (possibly) queued
+                txn.end(TxnStatus.DROPPED_SUPERSEDED)
                 queued.discard(txn)
+                killed.append(txn)
+            assert fired == killed
             assert len(q) == len(queued)
             assert q.live_queries == sum(t.is_query for t in queued)
             assert q.live_updates == sum(t.is_update for t in queued)
@@ -143,7 +147,7 @@ class TestLiveCounts:
         txns = [update(at=float(k)) for k in range(5)]
         for txn in txns:
             q.push(txn)
-        txns[2].status = TxnStatus.DROPPED_SUPERSEDED
+        txns[2].end(TxnStatus.DROPPED_SUPERSEDED)
         assert len(q) == 4
         assert q.live_updates == 4
 
@@ -164,7 +168,7 @@ class TestCompaction:
         for txn in txns:
             q.push(txn)
         for txn in txns[:-4]:  # kill all but the last four
-            txn.status = TxnStatus.DROPPED_SUPERSEDED
+            txn.end(TxnStatus.DROPPED_SUPERSEDED)
         assert len(q) == 4
         # The heap was compacted: the dead backlog cannot exceed the
         # small-heap threshold once the live population collapses.
@@ -178,5 +182,5 @@ class TestCompaction:
         survivors = txns[::7]
         for txn in txns:
             if txn not in survivors:
-                txn.status = TxnStatus.DROPPED_SUPERSEDED
+                txn.end(TxnStatus.DROPPED_SUPERSEDED)
         assert pop_all(q) == survivors

@@ -400,8 +400,7 @@ def _drive_core(scheduler, advance):
             continue
         script.append(("query" if txn.is_query else "update",
                        txn.arrival_time))
-        txn.status = TxnStatus.COMMITTED
-        txn.finish_time = now
+        txn.end(TxnStatus.COMMITTED, now)
         if txn.is_query:
             scheduler.notify_query_finished(txn)
     return script, scheduler

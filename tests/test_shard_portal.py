@@ -256,9 +256,8 @@ class TestShardPlanner:
         planned = planner.fan_out(query, {0: ["A"], 1: ["B"]})
         env._now = 5.0
         for _shard, sub in planned:
-            sub.finish_time = env.now
             sub.staleness = 0.0
-            sub.status = TxnStatus.COMMITTED
+            sub.end(TxnStatus.COMMITTED, env.now)
         assert query.status is TxnStatus.COMMITTED
         assert not query.degraded
         assert query.total_profit == pytest.approx(20.0)
@@ -271,10 +270,9 @@ class TestShardPlanner:
         planned = planner.fan_out(query, {0: ["A"], 1: ["B"]})
         env._now = 5.0
         (_s0, ok), (_s1, dead) = planned
-        ok.finish_time = env.now
         ok.staleness = 0.0
-        ok.status = TxnStatus.COMMITTED
-        dead.status = TxnStatus.LOST_CRASH
+        ok.end(TxnStatus.COMMITTED, env.now)
+        dead.end(TxnStatus.LOST_CRASH, env.now)
         assert query.status is TxnStatus.COMMITTED
         assert query.degraded
         assert query.qod_profit == 0.0  # freshness half forfeited
@@ -286,9 +284,8 @@ class TestShardPlanner:
         planned = planner.fan_out(query, {0: ["A"], 1: ["B"]})
         env._now = 4.0
         for age, (_shard, sub) in zip((3.0, 11.0), planned):
-            sub.finish_time = env.now
             sub.staleness = age
-            sub.status = TxnStatus.COMMITTED
+            sub.end(TxnStatus.COMMITTED, env.now)
         assert query.staleness == 11.0
 
     def test_total_failure_takes_dominant_status(self):
@@ -296,8 +293,8 @@ class TestShardPlanner:
         query = step_query(items=("A", "B"))
         planned = planner.fan_out(query, {0: ["A"], 1: ["B"]})
         (_s0, one), (_s1, two) = planned
-        one.status = TxnStatus.DROPPED_LIFETIME
-        two.status = TxnStatus.LOST_CRASH
+        one.end(TxnStatus.DROPPED_LIFETIME, env.now)
+        two.end(TxnStatus.LOST_CRASH, env.now)
         assert query.status is TxnStatus.LOST_CRASH
         assert planner.ledger.total_gained == 0.0
 
@@ -305,7 +302,7 @@ class TestShardPlanner:
         env, planner = self.make_planner()
         query = step_query(items=("A", "B"))
         for _shard, sub in planner.fan_out(query, {0: ["A"], 1: ["B"]}):
-            sub.status = TxnStatus.UNFINISHED
+            sub.end(TxnStatus.UNFINISHED)
         assert query.status is TxnStatus.UNFINISHED
 
     def test_monitor_sees_parent_and_subs(self):
@@ -316,12 +313,11 @@ class TestShardPlanner:
         planned = planner.fan_out(query, {0: ["A"], 1: ["B"]})
         # Subs and parent are all open; commits must balance them out.
         for _shard, sub in planned:
-            sub.finish_time = 1.0
             sub.staleness = 0.0
             sub.qos_profit = sub.qod_profit = 0.0
             monitor.record("query_committed", txn_id=sub.txn_id,
                            profit=0.0)
-            sub.status = TxnStatus.COMMITTED
+            sub.end(TxnStatus.COMMITTED, 1.0)
         monitor.verify_complete(planner.ledger.total_gained)
 
 
@@ -610,3 +606,33 @@ class TestProfitShare:
         assert rollup.total_percent == 1.0
         ledger.qos_gained = 15.0
         assert portal.rollup().total_percent == 0.5
+
+
+class TestFanoutCycles:
+    def test_fanouts_are_freed_without_the_cyclic_collector(self):
+        """Each sub's ``on_terminal`` closure holds the fan-out state,
+        which holds the sub: ``Transaction.end`` clears the hook before
+        firing it, so no query, fan-out state or scaled contract is left
+        for the cyclic collector (``DEBUG_SAVEALL`` keeps whatever it
+        finds in ``gc.garbage``)."""
+        import gc
+
+        from repro.experiments.scaleout import run_sharded_simulation
+
+        def fanned_out():
+            result = run_sharded_simulation(
+                4, lambda: make_scheduler("QUTS"),
+                small_trace(duration_ms=4_000.0), QCFactory.balanced(),
+                master_seed=3)
+            return result.counters["queries_fanned_out"]
+
+        gc.collect()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            assert fanned_out() > 0
+            gc.collect()
+            kinds = {type(garbage).__name__ for garbage in gc.garbage}
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+        assert not kinds & {"Query", "FanoutState", "ScaledProfit"}, kinds

@@ -1,7 +1,9 @@
 """Unit + property tests for named random streams."""
 
 import bisect
+import copy
 import math
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -110,6 +112,26 @@ class TestDistributions:
 
     def test_repr_contains_name(self):
         assert "quotes" in repr(RandomStream(0, "quotes"))
+
+
+class TestCopies:
+    """A pickled or deep-copied stream continues the same sequence."""
+
+    @pytest.mark.parametrize("copy_of", [
+        lambda stream: pickle.loads(pickle.dumps(stream)),
+        copy.deepcopy], ids=["pickle", "deepcopy"])
+    def test_copy_taken_mid_sequence_continues_it(self, copy_of):
+        stream = StreamRegistry(1).stream("quotes")
+        for __ in range(5):
+            stream.random()
+        stream.gauss(0.0, 1.0)  # leaves a cached second normal variate
+        twin = copy_of(stream)
+        assert type(twin) is RandomStream and twin is not stream
+        assert (twin.name, twin.initial_seed) == (stream.name,
+                                                  stream.initial_seed)
+        assert [twin.random() for __ in range(50)] == [
+            stream.random() for __ in range(50)]
+        assert twin.gauss(0.0, 1.0) == stream.gauss(0.0, 1.0)
 
 
 class TestZipfCdfCache:
