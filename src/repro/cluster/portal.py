@@ -266,6 +266,9 @@ class ReplicatedPortal:
             breaker_rng = streams.stream("cluster.breaker")
             for handle in self.replicas:
                 handle.breaker = CircuitBreaker(health, breaker_rng)
+        # The outcome hook feeds the detector and retires hedge backups.
+        if health is not None or hasattr(self.router, "choose_backup"):
+            for handle in self.replicas:
                 handle.server.query_outcome_hook = functools.partial(
                     self._on_query_outcome, handle)
         if durability is not None:
@@ -279,8 +282,9 @@ class ReplicatedPortal:
         #: Queries currently waiting in a failover retry loop, mapped to
         #: the ledger holding their contract's maxima.
         self._retrying: dict[Query, ProfitLedger] = {}
-        #: Pre-computed hedge backups (txn_id -> replica index), kept
-        #: only when the router nominates backups (HedgedRouter).
+        #: Pre-computed hedge backups (txn_id -> replica index) of the
+        #: live routed queries, kept only when the router nominates
+        #: backups (HedgedRouter).
         self._backups: dict[int, int] = {}
         #: Every crash episode, in crash order (replica + portal scope).
         self.incidents: list[RecoveryIncident] = []
@@ -776,8 +780,13 @@ class ReplicatedPortal:
     def _on_query_outcome(self, handle: ReplicaHandle, query: Query,
                           ok: bool) -> None:
         """Server callback: one query finished (or died) on ``handle``."""
+        # Its hedge backup can no longer be needed: only a crash strands
+        # a live query, and that pops the backup itself.
+        self._backups.pop(query.txn_id, None)
+        detector = self.detector
+        if detector is None:
+            return
         now = self.env.now
-        detector = typing.cast(FailureDetector, self.detector)
         if ok:
             detector.observe_response(handle.index, query.response_time(),
                                       now)
@@ -914,6 +923,11 @@ class ReplicatedPortal:
             self._lose_query(query, ledger)
         for replica in self.replicas:
             replica.server.finalize()
+            # The hook is a bound method of this portal: dropping it
+            # breaks the portal <-> server cycle, so the run is freed by
+            # reference counting, not by the cyclic collector.
+            replica.server.query_outcome_hook = None
+        self._backups.clear()  # the unfinished queries' backups
 
     # ------------------------------------------------------------------
     # Shard support: adoption, staleness probes, and state transfer

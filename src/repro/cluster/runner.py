@@ -6,7 +6,7 @@ import typing
 
 from repro.db.admission import AdmissionPolicy
 from repro.db.server import ServerConfig
-from repro.db.transactions import Query
+from repro.db.transactions import Query, restart_txn_ids
 from repro.db.wal import DurabilityConfig
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
@@ -150,6 +150,7 @@ def run_cluster_simulation(n_replicas: int,
     A trace stand-in whose arrival times are not non-decreasing raises
     :class:`ValueError` (see :func:`repro.workload.traces.replay_rows`).
     """
+    restart_txn_ids()
     env = Environment()
     streams = StreamRegistry(master_seed)
     monitor = InvariantMonitor(lambda: env.now) if invariants else None

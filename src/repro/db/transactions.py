@@ -70,6 +70,15 @@ _INF = float("inf")
 _txn_ids = itertools.count(1)
 
 
+def restart_txn_ids() -> None:
+    """Number the next transactions from 1 again.  Every ``run_*`` entry
+    point calls this first: ids are unique within a run, and what a run
+    writes (trace files carry ids) does not depend on what ran before it
+    in the same process."""
+    global _txn_ids
+    _txn_ids = itertools.count(1)
+
+
 class Transaction:
     """Common state shared by queries and updates."""
 

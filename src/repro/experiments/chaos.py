@@ -75,10 +75,8 @@ def _verdict(policy: str, trace: Trace, n_replicas: int,
             fault_plan=expand_incidents(incidents),
             durability=durability, invariants=True, health=health)
     except InvariantViolation as violation:
-        # Keep only the law message: the "most recent events" debug tail
-        # quotes absolute txn ids from the process-global transaction
-        # counter, which depend on how many simulations ran before this
-        # one — the artifact must stay byte-identical regardless.
+        # Keep only the law message: the artifact names the broken law,
+        # not the "most recent events" debug tail.
         return str(violation).split("\nmost recent events:", 1)[0]
     return None
 

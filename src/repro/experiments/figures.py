@@ -232,12 +232,8 @@ def fig9(config: ExperimentConfig | None = None,
     return {
         "result": result,
         "phase_rho": phase_rho,
-        "gained_total": result.profit_timeline("total"),
-        "max_total": result.profit_timeline("total", gained=False),
-        "gained_qos": result.profit_timeline("qos"),
-        "max_qos": result.profit_timeline("qos", gained=False),
-        "gained_qod": result.profit_timeline("qod"),
-        "max_qod": result.profit_timeline("qod", gained=False),
+        "gained_total": result.profit_timeline(),
+        "max_total": result.profit_timeline(gained=False),
         "rho_series": result.rho_series,
     }
 

@@ -13,7 +13,7 @@ import typing
 from repro.db.admission import AdmissionPolicy
 from repro.db.database import Database, StalenessAggregation
 from repro.db.server import DatabaseServer, ServerConfig
-from repro.db.transactions import Query, Update
+from repro.db.transactions import Query, Update, restart_txn_ids
 from repro.metrics.profit import ProfitLedger
 from repro.metrics.results import SimulationResult
 from repro.qc.contracts import QualityContract
@@ -79,6 +79,7 @@ def run_simulation(scheduler: Scheduler, trace: Trace,
     if qc_source is None:
         qc_source = free_qc_source()
 
+    restart_txn_ids()
     env = Environment()
     if sanitizer is not None:
         sanitizer.install(env)

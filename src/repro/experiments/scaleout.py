@@ -31,7 +31,7 @@ import typing
 
 from repro.db.admission import AdmissionPolicy
 from repro.db.server import ServerConfig
-from repro.db.transactions import Query
+from repro.db.transactions import Query, restart_txn_ids
 from repro.db.wal import DurabilityConfig
 from repro.parallel import Task, run_tasks
 from repro.qc.generator import QCFactory
@@ -159,6 +159,7 @@ def run_sharded_simulation(n_shards: int,
     conservation monitor, whose ``shard_cutover`` law additionally
     audits every migration (updates buffered == updates replayed).
     """
+    restart_txn_ids()
     env = Environment()
     streams = StreamRegistry(master_seed)
     monitor = InvariantMonitor(lambda: env.now) if invariants else None

@@ -6,7 +6,8 @@ The ledger tracks, over a simulation run (symbols from Table 1):
   (summed over all queries' contracts);
 * ``QOS`` / ``QOD`` / ``Q`` — the profit actually *gained*;
 * the profit-percentage views the figures plot (``QOS% = QOS / Qmax`` etc.);
-* time series of submitted maxima and gained profit (Figure 9's curves);
+* submitted maxima and gained profit per second, QoS + QoD (Figure 9's
+  curves) — one float per second of run, however many queries;
 * response-time and staleness tallies (Figure 1);
 * transaction outcome counters.
 
@@ -20,7 +21,10 @@ import dataclasses
 import typing
 
 from repro.db.transactions import Query, Update
-from repro.sim.monitor import CounterSet, Tally, TimeSeries
+from repro.sim.monitor import CounterSet, Tally
+
+#: Width of the per-second buckets (ms): Figure 9 plots profit per second.
+BUCKET_MS = 1_000.0
 
 
 class ProfitLedger:
@@ -41,11 +45,10 @@ class ProfitLedger:
         # Outcome counters.
         self.counters = CounterSet()
 
-        # Time series for Figure 9 (times are submission/commit instants).
-        self.submitted_qos_series = TimeSeries("submitted_qosmax")
-        self.submitted_qod_series = TimeSeries("submitted_qodmax")
-        self.gained_qos_series = TimeSeries("gained_qos")
-        self.gained_qod_series = TimeSeries("gained_qod")
+        # Figure 9: ``QOSmax + QODmax`` submitted and ``QOS + QOD``
+        # gained in second ``i`` of the run (``int(now / BUCKET_MS)``).
+        self.submitted_per_second: list[float] = []
+        self.gained_per_second: list[float] = []
 
     def __repr__(self) -> str:
         return (f"<ProfitLedger Q={self.total_gained:.2f}/"
@@ -55,17 +58,29 @@ class ProfitLedger:
     # Event hooks (called by the DatabaseServer)
     # ------------------------------------------------------------------
     def on_query_submitted(self, query: Query, now: float) -> None:
-        self.qos_max_submitted += query.qc.qos_max
-        self.qod_max_submitted += query.qc.qod_max
-        self.submitted_qos_series.record(now, query.qc.qos_max)
-        self.submitted_qod_series.record(now, query.qc.qod_max)
+        qos_max = query.qc.qos_max
+        qod_max = query.qc.qod_max
+        self.qos_max_submitted += qos_max
+        self.qod_max_submitted += qod_max
+        # Bucket updates are inlined (here and at commit): a helper
+        # would be one more Python call per hook on the hot path.
+        buckets = self.submitted_per_second
+        second = int(now / BUCKET_MS)
+        if second >= len(buckets):
+            buckets.extend([0.0] * (second + 1 - len(buckets)))
+        buckets[second] += qos_max
+        buckets[second] += qod_max
         self.counters.increment("queries_submitted")
 
     def on_query_committed(self, query: Query, now: float) -> None:
         self.qos_gained += query.qos_profit
         self.qod_gained += query.qod_profit
-        self.gained_qos_series.record(now, query.qos_profit)
-        self.gained_qod_series.record(now, query.qod_profit)
+        buckets = self.gained_per_second
+        second = int(now / BUCKET_MS)
+        if second >= len(buckets):
+            buckets.extend([0.0] * (second + 1 - len(buckets)))
+        buckets[second] += query.qos_profit
+        buckets[second] += query.qod_profit
         self.response_time.observe(query.response_time())
         if query.staleness is not None:
             self.staleness.observe(query.staleness)

@@ -2,17 +2,21 @@
 
 :class:`SimulationResult` bundles the profit ledger, the scheduler's own
 telemetry (e.g. QUTS's ρ trajectory), lock-manager statistics, and run
-metadata.  It also provides the smoothed time-series views used by
-Figure 9 (5-second moving window over per-second profit buckets).
+metadata.  It also provides the smoothed profit curves of Figure 9 (a
+5-second moving window over the ledger's per-second buckets).
 """
 
 from __future__ import annotations
 
+import math
 import typing
 
 from repro.sim.monitor import TimeSeries
 
-from .profit import ProfitLedger
+from .profit import BUCKET_MS, ProfitLedger
+
+#: Figure 9's smoothing: "a moving-window size of 5 seconds" (ms).
+FIG9_WINDOW_MS = 5_000.0
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.telemetry.hooks import TelemetrySession
@@ -80,46 +84,21 @@ class SimulationResult:
     # ------------------------------------------------------------------
     # Figure 9 time series
     # ------------------------------------------------------------------
-    def profit_timeline(self, which: typing.Literal["qos", "qod", "total"],
-                        bucket_ms: float = 1000.0,
-                        window_ms: float = 5000.0,
-                        gained: bool = True) -> TimeSeries:
-        """Per-bucket (default per-second) profit, moving-window smoothed.
+    def profit_timeline(self, gained: bool = True) -> TimeSeries:
+        """Profit per second (QoS + QoD), moving-window smoothed.
 
-        ``gained=False`` returns the *submitted maxima* series instead (the
-        dashed "ideal" lines of Figure 9a-c).
+        One point per second of the run, stamped at the middle of its
+        second; ``gained=False`` returns the *submitted maxima* instead
+        (the dashed "ideal" lines of Figure 9a-c).
         """
-        ledger = self.ledger
-        if gained:
-            qos, qod = ledger.gained_qos_series, ledger.gained_qod_series
-        else:
-            qos, qod = ledger.submitted_qos_series, ledger.submitted_qod_series
-        if which == "qos":
-            raw = qos
-        elif which == "qod":
-            raw = qod
-        else:
-            raw = _merge_series(qos, qod, name="total")
-        bucketed = raw.bucket_sums(bucket_ms, start=0.0, end=self.duration)
-        if window_ms and window_ms > bucket_ms:
-            return bucketed.moving_window_average(window_ms)
-        return bucketed
-
-
-def _merge_series(a: TimeSeries, b: TimeSeries, name: str) -> TimeSeries:
-    """Merge two time-ordered series into one (stable by time)."""
-    merged = TimeSeries(name)
-    ia, ib = 0, 0
-    na, nb = len(a), len(b)
-    while ia < na or ib < nb:
-        take_a = ib >= nb or (ia < na and a.times[ia] <= b.times[ib])
-        if take_a:
-            merged.record(a.times[ia], a.values[ia])
-            ia += 1
-        else:
-            merged.record(b.times[ib], b.values[ib])
-            ib += 1
-    return merged
+        buckets = (self.ledger.gained_per_second if gained
+                   else self.ledger.submitted_per_second)
+        timeline = TimeSeries("gained" if gained else "submitted")
+        for second in range(max(1, math.ceil(self.duration / BUCKET_MS))):
+            timeline.record((second + 0.5) * BUCKET_MS,
+                            buckets[second] if second < len(buckets)
+                            else 0.0)
+        return timeline.moving_window_average(FIG9_WINDOW_MS)
 
 
 def improvement_percent(ours: float, baseline: float) -> float:

@@ -106,7 +106,7 @@ class QUTSScheduler(Scheduler):
 
         #: ρ after each adaptation (Figure 9d).
         self.rho_series = TimeSeries("rho")
-        #: Chronicle of (time, state) slot draws, for tests/inspection.
+        #: Slot draws that switched the served class (query <-> update).
         self.state_changes = 0
 
         self._rng: RandomStream | None = None

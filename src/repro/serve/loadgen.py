@@ -37,6 +37,7 @@ import typing
 
 from repro.db.admission import (AdmissionPolicy, BrownoutAdmission,
                                 OverloadShedding)
+from repro.db.transactions import restart_txn_ids
 from repro.qc.contracts import QualityContract
 from repro.qc.generator import QCFactory
 from repro.scheduling import make_scheduler
@@ -358,5 +359,6 @@ def run_cell(policy: str, *, defended: bool = True,
     policy_admission = _admission_for(admission) if defended else None
     if not defended:
         config = dataclasses.replace(config, retry_fraction=None)
+    restart_txn_ids()
     return asyncio.run(_run_cell_async(policy, config, gateway_config,
                                        policy_admission))

@@ -79,8 +79,7 @@ class FloatColumn(array):
 
 class TimeSeries:
     """An explicit (time, value) series — e.g. Figure 9d's ρ
-    trajectory — held as two packed :class:`FloatColumn` columns (the
-    ledger's per-query series reach 313k samples at paper scale).
+    trajectory — held as two packed :class:`FloatColumn` columns.
 
     With ``max_points`` set the series is *bounded*: once full it
     decimates itself to every other retained point and doubles its
@@ -187,24 +186,6 @@ class TimeSeries:
             count = hi - lo
             smoothed.record(t, acc / count if count else 0.0)
         return smoothed
-
-    def bucket_sums(self, bucket: float, *, start: float = 0.0,
-                    end: float | None = None) -> "TimeSeries":
-        """Sum values into fixed-width buckets (e.g. profit per second)."""
-        if bucket <= 0:
-            raise ValueError("bucket must be positive")
-        stop = end if end is not None else (self.times[-1] if self.times
-                                            else start)
-        n_buckets = max(1, math.ceil((stop - start) / bucket))
-        sums = [0.0] * n_buckets
-        for t, v in self.items():
-            idx = int((t - start) / bucket)
-            if 0 <= idx < n_buckets:
-                sums[idx] += v
-        out = TimeSeries(f"{self.name}|bucket{bucket}")
-        for i, s in enumerate(sums):
-            out.record(start + (i + 0.5) * bucket, s)
-        return out
 
 
 class TimeWeighted:

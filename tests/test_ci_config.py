@@ -5,7 +5,9 @@ no job runs and nothing reports red.  Parsing it here makes that a
 test failure, and so is a ``bench/run.py --workload`` step naming a
 workload ``BENCHMARK.json`` does not declare, a step naming a test file
 that is gone, or a ``python -m repro.cli`` step naming a subcommand the
-CLI no longer accepts.
+CLI no longer accepts; so is an interpreter the ``tests`` job runs that
+``test_cost_budget.py``'s allocation ceilings have no row for (the
+ruler would skip there, unseen).
 """
 
 import json
@@ -15,6 +17,7 @@ import re
 import pytest
 
 from repro.cli import main as cli_main
+from tests.test_cost_budget import PEAK_BUDGETS
 
 yaml = pytest.importorskip("yaml")
 
@@ -71,3 +74,12 @@ def test_every_ci_only_golden_is_checked_by_a_step():
                                       step.get("run", "")))
     named = {name for group in checked for name in group.split()}
     assert ci_only <= named, sorted(ci_only - named)
+
+
+def test_every_tested_python_has_an_allocation_budget():
+    versions = yaml.safe_load(CI.read_text())["jobs"]["tests"]["strategy"][
+        "matrix"]["python-version"]
+    assert versions
+    missing = [version for version in versions
+               if tuple(map(int, version.split("."))) not in PEAK_BUDGETS]
+    assert not missing, missing

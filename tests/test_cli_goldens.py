@@ -3,11 +3,10 @@
 ``cli_goldens.json`` holds the sha256 of the stdout of smoke-scale
 ``repro`` commands, and of the file a command writes where its argv
 names ``{out}`` (the path is replaced by ``{out}`` in stdout before
-hashing).  Each runs here in-process, except that a command writing a
-file runs in a fresh subprocess: the file carries transaction ids,
-which count from the start of the process.  ``fig9`` runs once more in
-a subprocess with another ``PYTHONHASHSEED`` and another working
-directory.  Entries marked ``"ci_only"`` are too slow for this suite:
+hashing).  Each runs here in-process, after whatever ran before it:
+the trace file carries transaction ids, which every run numbers from 1.
+``fig9`` runs once more in a subprocess with another ``PYTHONHASHSEED``
+and another working directory.  Entries marked ``"ci_only"`` are too slow for this suite:
 a step of their CI job checks them with ``tests/check_cli_golden.py``.
 A change that alters one of these outputs on purpose updates its
 digest in the same diff and says why in ``CHANGES.md``.
@@ -39,14 +38,12 @@ def test_stdout_matches_its_digest(name, capsys, tmp_path):
     golden = GOLDENS[name]
     out = str(tmp_path / "out")
     argv = [out if arg == "{out}" else arg for arg in golden["argv"]]
+    assert main(argv) == 0
+    stdout = capsys.readouterr().out
+    assert digest(stdout.replace(out, "{out}")) == golden["stdout_sha256"]
     if "out_sha256" in golden:
-        stdout = run_cli(argv, tmp_path).decode()
         assert (hashlib.sha256(pathlib.Path(out).read_bytes()).hexdigest()
                 == golden["out_sha256"])
-    else:
-        assert main(argv) == 0
-        stdout = capsys.readouterr().out
-    assert digest(stdout.replace(out, "{out}")) == golden["stdout_sha256"]
 
 
 def run_cli(argv, cwd, **env):

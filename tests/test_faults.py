@@ -7,8 +7,8 @@ validation added alongside them.
 
 import pytest
 
-from repro.cluster import (HedgedRouter, NoHealthyReplica, QCAwareRouter,
-                           ReplicatedPortal, RoundRobinRouter,
+from repro.cluster import (HealthConfig, HedgedRouter, NoHealthyReplica,
+                           QCAwareRouter, ReplicatedPortal, RoundRobinRouter,
                            run_cluster_simulation)
 from repro.db.admission import OverloadShedding
 from repro.db.server import ServerConfig
@@ -477,6 +477,77 @@ class TestHedgedRouter:
         # because the hedge resubmits to the backup immediately.
         env.run(until=200.0)
         assert portal.rollup().counters["queries_committed"] == 1
+
+    def test_backups_retire_with_their_queries(self):
+        # A backup is needed only while its query is live on a server:
+        # commits and lifetime drops retire it, so none outlives the run.
+        env = Environment()
+        portal = make_portal(env, n=2, router=HedgedRouter())
+
+        def scenario(env):
+            for index in range(8):
+                portal.submit_query(step_query(
+                    exec_ms=20.0, lifetime=30.0 if index == 7 else 150_000.0))
+                yield env.timeout(1.0)
+            assert len(portal._backups) == 8
+
+        env.process(scenario(env))
+        env.run(until=1_000.0)
+        counters = portal.rollup().counters
+        assert counters["queries_committed"] == 7
+        assert counters["queries_dropped_lifetime"] == 1
+        assert portal._backups == {}
+
+    def test_stranded_query_fails_over_to_its_backup(self):
+        env = Environment()
+        portal = make_portal(env, n=3, router=HedgedRouter(),
+                             failover_backoff_ms=10_000.0)
+        query = step_query(exec_ms=20.0)
+        chosen = {}
+
+        def scenario(env):
+            chosen["primary"] = portal.submit_query(query)
+            chosen["backup"] = portal._backups[query.txn_id]
+            yield env.timeout(5.0)
+            portal.crash_replica(chosen["primary"])
+
+        env.process(scenario(env))
+        env.run(until=200.0)
+        assert query.status is TxnStatus.COMMITTED
+        routed = [0, 0, 0]
+        routed[chosen["primary"]] += 1
+        routed[chosen["backup"]] += 1
+        assert chosen["backup"] != chosen["primary"]
+        assert portal.routed_counts == routed
+        assert portal.fault_counters.as_dict()["query_retries"] == 1
+        assert portal._backups == {}
+
+    def test_finished_run_is_freed_without_the_cyclic_collector(self):
+        """The outcome hook (a bound method of the portal, installed for
+        hedging and for health checks) closes a portal <-> server cycle
+        while the run lasts; ``finalize`` breaks it, so nothing of the
+        run is left for the cyclic collector (``DEBUG_SAVEALL`` keeps
+        whatever it finds in ``gc.garbage``)."""
+        import gc
+
+        def run():
+            result = run_cluster_simulation(
+                3, QUTSScheduler, small_trace(duration=4_000.0),
+                QCFactory.balanced(), router=HedgedRouter(), master_seed=1,
+                health=HealthConfig())
+            return result.counters["queries_committed"]
+
+        gc.collect()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            assert run() > 0
+            gc.collect()
+            kinds = {type(garbage).__name__ for garbage in gc.garbage}
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+        assert not kinds & {"ReplicatedPortal", "DatabaseServer",
+                            "Database", "Query"}, kinds
 
 
 # ----------------------------------------------------------------------

@@ -32,6 +32,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.qc.contracts import QualityContract
 from repro.scheduling import DESClock, make_scheduler
 from repro.serve import (GatewayConfig, LoadgenConfig, ManualClock,
                          MonotonicClock, QCGateway, run_cell)
@@ -156,6 +157,40 @@ class TestExecutorPacing:
         for (_, end), (start, _) in zip(spans, spans[1:]):
             assert start == pytest.approx(end, abs=1e-9)
         assert spans[-1][1] == pytest.approx(42.0)
+
+
+class TestLiveLedger:
+    def test_profit_buckets_grow_with_uptime_not_requests(self):
+        """The gateway's ledger keeps one bucket per second of uptime
+        (Figure 9's per-second totals), however many queries it serves:
+        600 queries over ~3 s of scripted time leave at most 4."""
+        clock = ScriptedClock((0.1,))
+        qc = QualityContract.step(3.0, 50.0, 1.0, 10.0)
+
+        async def scenario():
+            gateway = QCGateway(make_scheduler("FIFO"), clock=clock)
+            await gateway.start()
+            futures = []
+            for index in range(600):
+                await clock.sleep_until(clock.now + 5.0)
+                futures.append(gateway.submit_query(
+                    (f"S{index % 50:04d}",), qc, exec_ms=1.0))
+            replies = await asyncio.gather(*futures)
+            await gateway.stop()
+            return replies, gateway.ledger
+
+        replies, ledger = run_scripted(clock, scenario())
+        assert [reply.outcome for reply in replies] == ["completed"] * 600
+        seconds = int(clock.now / 1_000.0) + 1
+        assert 3 <= seconds <= 4
+        for buckets in (ledger.submitted_per_second,
+                        ledger.gained_per_second):
+            assert 0 < len(buckets) <= seconds
+        assert sum(ledger.submitted_per_second) == pytest.approx(
+            ledger.total_max)
+        assert sum(ledger.gained_per_second) == pytest.approx(
+            ledger.total_gained)
+        assert ledger.total_gained > 0.0
 
 
 class TestSleepUntil:

@@ -81,9 +81,6 @@ class TestTimeSeries:
         assert list(series.items()) == []
         smoothed = series.moving_window_average(5.0)
         assert len(smoothed) == 0
-        # With no samples and no explicit end, one empty bucket results.
-        buckets = series.bucket_sums(1_000.0)
-        assert list(buckets.values) == [0.0]
 
     def test_rejects_time_travel(self):
         series = TimeSeries()
@@ -115,33 +112,6 @@ class TestTimeSeries:
     def test_moving_window_requires_positive_window(self):
         with pytest.raises(ValueError):
             TimeSeries().moving_window_average(0.0)
-
-    def test_bucket_sums(self):
-        series = TimeSeries()
-        for t, v in [(0.5, 1.0), (0.9, 2.0), (1.5, 4.0), (2.7, 8.0)]:
-            series.record(t, v)
-        bucketed = series.bucket_sums(1.0, start=0.0, end=3.0)
-        assert bucketed.values == [3.0, 4.0, 8.0]
-        assert bucketed.times == [0.5, 1.5, 2.5]
-
-    def test_bucket_sums_ignores_out_of_range(self):
-        series = TimeSeries()
-        series.record(5.0, 100.0)
-        bucketed = series.bucket_sums(1.0, start=0.0, end=3.0)
-        assert sum(bucketed.values) == 0.0
-
-    @given(st.lists(st.tuples(st.floats(min_value=0, max_value=100),
-                              finite_floats),
-                    min_size=1, max_size=100))
-    @settings(max_examples=50)
-    def test_bucket_sums_conserve_mass(self, points):
-        points.sort(key=lambda p: p[0])
-        series = TimeSeries()
-        for t, v in points:
-            series.record(t, v)
-        bucketed = series.bucket_sums(7.0, start=0.0, end=101.0)
-        assert sum(bucketed.values) == pytest.approx(
-            sum(v for __, v in points), rel=1e-9, abs=1e-6)
 
 
 class TestBoundedTimeSeries:

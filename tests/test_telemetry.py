@@ -48,31 +48,6 @@ def run_traced(trace, policy="QUTS", **kwargs):
     return result
 
 
-def _renumber_txn_ids(events):
-    """Rewrite txn-id-bearing args to first-appearance ordinals.
-
-    Transaction ids come from a process-global counter, so two otherwise
-    identical runs in one process see different absolute ids.
-    """
-    mapping = {}
-
-    def ordinal(value):
-        if value not in mapping:
-            mapping[value] = len(mapping)
-        return mapping[value]
-
-    out = []
-    for event in events:
-        event = json.loads(json.dumps(event))
-        args = event.get("args")
-        if isinstance(args, dict):
-            for key in ("txn", "by", "id"):
-                if key in args:
-                    args[key] = ordinal(args[key])
-        out.append(event)
-    return out
-
-
 # ----------------------------------------------------------------------
 # The golden lifecycle audit
 # ----------------------------------------------------------------------
@@ -287,13 +262,12 @@ class TestChromeExport:
         assert loaded["otherData"]["clock"] == "simulated-ms"
 
     def test_export_is_deterministic(self, trace):
-        # Transaction ids are process-global (monotone across runs), so
-        # compare with ids renumbered by order of first appearance.
+        # Every run numbers its transactions from 1, so two runs in one
+        # process export identical events, ids included.
         a = run_traced(trace)
         b = run_traced(trace)
-        assert (_renumber_txn_ids(chrome_trace_events(a.telemetry.tracer))
-                == _renumber_txn_ids(chrome_trace_events(
-                    b.telemetry.tracer)))
+        assert (chrome_trace_events(a.telemetry.tracer)
+                == chrome_trace_events(b.telemetry.tracer))
 
 
 # ----------------------------------------------------------------------
