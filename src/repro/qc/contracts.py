@@ -37,7 +37,8 @@ class CompositionMode(enum.Enum):
 class QualityContract:
     """User preferences for one query: profit over QoS and over QoD."""
 
-    __slots__ = ("qos", "qod", "mode", "lifetime")
+    __slots__ = ("qos", "qod", "mode", "lifetime", "qos_max", "qod_max",
+                 "total_max", "rt_max", "uu_max")
 
     def __init__(self, qos: ProfitFunction, qod: ProfitFunction,
                  mode: CompositionMode = CompositionMode.QOS_INDEPENDENT,
@@ -49,37 +50,24 @@ class QualityContract:
         self.mode = mode
         #: Maximum residence time (ms) before the query is dropped.
         self.lifetime = lifetime
+        # The maxima are the denominators of every profit percentage in
+        # the paper and are read per query by schedulers, routers and
+        # admission; a contract is never changed after construction
+        # (``scaled`` builds a new one), so they are read once, here.
+        #: ``qosmax``: best attainable QoS profit.
+        self.qos_max: float = qos.max_profit
+        #: ``qodmax``: best attainable QoD profit.
+        self.qod_max: float = qod.max_profit
+        #: Best attainable total profit.
+        self.total_max: float = self.qos_max + self.qod_max
+        #: ``rtmax``: response time beyond which QoS profit is zero.
+        self.rt_max: float = qos.zero_after
+        #: ``uumax``: staleness beyond which QoD profit is zero.
+        self.uu_max: float = qod.zero_after
 
     def __repr__(self) -> str:
         return (f"QualityContract(qos={self.qos!r}, qod={self.qod!r}, "
                 f"mode={self.mode.value})")
-
-    # ------------------------------------------------------------------
-    # Maxima (the denominators of every profit-percentage in the paper)
-    # ------------------------------------------------------------------
-    @property
-    def qos_max(self) -> float:
-        """``qosmax``: best attainable QoS profit."""
-        return self.qos.max_profit
-
-    @property
-    def qod_max(self) -> float:
-        """``qodmax``: best attainable QoD profit."""
-        return self.qod.max_profit
-
-    @property
-    def total_max(self) -> float:
-        return self.qos_max + self.qod_max
-
-    @property
-    def rt_max(self) -> float:
-        """``rtmax``: response time beyond which QoS profit is zero."""
-        return self.qos.zero_after
-
-    @property
-    def uu_max(self) -> float:
-        """``uumax``: staleness beyond which QoD profit is zero."""
-        return self.qod.zero_after
 
     # ------------------------------------------------------------------
     # Evaluation

@@ -29,6 +29,8 @@ import typing
 class ProfitFunction:
     """A non-increasing map from a quality-metric value to profit."""
 
+    __slots__ = ()
+
     def profit(self, metric_value: float) -> float:
         """Profit earned when the metric comes out at ``metric_value``."""
         raise NotImplementedError
@@ -49,6 +51,8 @@ class ProfitFunction:
 
 class ZeroProfit(ProfitFunction):
     """A contract dimension the user does not care about (pays nothing)."""
+
+    __slots__ = ()
 
     def profit(self, metric_value: float) -> float:
         return 0.0
@@ -72,6 +76,8 @@ class StepProfit(ProfitFunction):
     committing exactly at the deadline still pays); ``inclusive=False`` does
     not (used for QoD with ``uumax``: "no update missed").
     """
+
+    __slots__ = ("amount", "threshold", "inclusive")
 
     def __init__(self, amount: float, threshold: float,
                  inclusive: bool = True) -> None:
@@ -106,6 +112,8 @@ class StepProfit(ProfitFunction):
 class LinearProfit(ProfitFunction):
     """Profit decaying linearly from ``amount`` at 0 to zero at ``threshold``
     (Figure 3)."""
+
+    __slots__ = ("amount", "threshold")
 
     def __init__(self, amount: float, threshold: float) -> None:
         if not 0 <= amount < math.inf:
@@ -146,6 +154,8 @@ class ScaledProfit(ProfitFunction):
     semantics — construct that instead where possible.
     """
 
+    __slots__ = ("base", "factor")
+
     def __init__(self, base: ProfitFunction, factor: float) -> None:
         if not 0.0 <= factor <= 1.0:
             raise ValueError(f"factor must be in [0, 1], got {factor}")
@@ -175,6 +185,8 @@ class PiecewiseLinearProfit(ProfitFunction):
     after it.  Supplied points must be non-increasing in profit — QCs are
     defined as non-increasing functions (§2.2) and this is validated.
     """
+
+    __slots__ = ("points",)
 
     def __init__(self,
                  points: typing.Sequence[tuple[float, float]]) -> None:

@@ -3,7 +3,7 @@
 from .stats import (PerStockCounts, RateSeries, WorkloadSummary,
                     per_stock_counts, query_rate_series, summarize,
                     update_rate_series)
-from .stocks import PriceWalk, StockUniverse, ticker_symbol
+from .stocks import StockUniverse, ticker_symbol
 from .synthetic import (PAPER_DURATION_MS, PAPER_N_QUERIES, PAPER_N_STOCKS,
                         PAPER_N_UPDATES, StockWorkloadGenerator, WorkloadSpec,
                         paper_trace)
@@ -16,7 +16,6 @@ __all__ = [
     "PAPER_N_STOCKS",
     "PAPER_N_UPDATES",
     "PerStockCounts",
-    "PriceWalk",
     "QueryRecord",
     "RateSeries",
     "RecordColumns",

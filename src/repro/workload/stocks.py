@@ -1,4 +1,4 @@
-"""The stock universe: ticker symbols, popularity ranks, and price walks.
+"""The stock universe: ticker symbols, popularity ranks, and initial prices.
 
 The paper's workload indexes everything by NYSE ticker symbol.  We generate
 a deterministic universe of synthetic tickers and assign each stock two
@@ -54,7 +54,6 @@ class StockUniverse:
         # rank 0 = most popular.
         query_order = list(range(n_stocks))
         rng.shuffle(query_order)
-        self._query_rank_to_stock = query_order
 
         # Update ranks: keep the query-rank stock with probability
         # `popularity_correlation`; permute the remainder among themselves.
@@ -66,7 +65,11 @@ class StockUniverse:
         update_order = list(query_order)
         for rank, stock in zip(free_ranks, free_stocks):
             update_order[rank] = stock
-        self._update_rank_to_stock = update_order
+
+        #: Ticker of the ``rank``-th most query-popular stock (0-based).
+        self.query_ranked = [self.symbols[i] for i in query_order]
+        #: Ticker of the ``rank``-th most update-popular stock (0-based).
+        self.update_ranked = [self.symbols[i] for i in update_order]
 
         #: Initial prices, dollars; a plausible spread for a price walk.
         self.initial_prices = {
@@ -74,29 +77,3 @@ class StockUniverse:
 
     def __repr__(self) -> str:
         return f"<StockUniverse n={self.n_stocks}>"
-
-    def stock_for_query_rank(self, rank: int) -> str:
-        """Ticker of the ``rank``-th most query-popular stock (0-based)."""
-        return self.symbols[self._query_rank_to_stock[rank]]
-
-    def stock_for_update_rank(self, rank: int) -> str:
-        """Ticker of the ``rank``-th most update-popular stock (0-based)."""
-        return self.symbols[self._update_rank_to_stock[rank]]
-
-
-class PriceWalk:
-    """A lazy per-stock multiplicative random walk for update values."""
-
-    def __init__(self, universe: StockUniverse, rng: RandomStream,
-                 step_stdev: float = 0.001) -> None:
-        self._prices = dict(universe.initial_prices)
-        self._rng = rng
-        self._step_stdev = step_stdev
-
-    def next_price(self, symbol: str) -> float:
-        """The next traded price for ``symbol`` (mutates the walk)."""
-        current = self._prices.get(symbol, 100.0)
-        multiplier = 1.0 + self._rng.gauss(0.0, self._step_stdev)
-        new_price = max(0.01, current * multiplier)
-        self._prices[symbol] = new_price
-        return new_price

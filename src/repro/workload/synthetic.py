@@ -35,16 +35,17 @@ updates on time ... and also get fast response times".
 
 from __future__ import annotations
 
-import bisect
 import dataclasses
+import itertools
 import math
 import operator
 import typing
 from array import array
+from bisect import bisect_left
 
-from repro.sim.rng import RandomStream, StreamRegistry
+from repro.sim.rng import RandomStream, StreamRegistry, zipf_cdf
 
-from .stocks import PriceWalk, StockUniverse
+from .stocks import StockUniverse
 from .traces import (Column, QueryRecord, RecordColumns, Row, Trace,
                      UpdateRecord)
 
@@ -55,6 +56,8 @@ PAPER_N_UPDATES = 496_892
 PAPER_N_STOCKS = 4_608
 PAPER_QUERY_EXEC_RANGE_MS = (5.0, 9.0)
 PAPER_UPDATE_EXEC_RANGE_MS = (1.0, 5.0)
+#: Standard deviation of a trade's relative price step.
+PRICE_STEP_STDEV = 0.001
 
 
 @dataclasses.dataclass
@@ -197,13 +200,15 @@ class WorkloadSpec:
         return (self.query_rate_per_s * q_mean
                 + self.update_rate_per_s * self.update_exec_mean_ms) / 1000.0
 
-    def sample_update_exec(self, rng: RandomStream) -> float:
-        """A service time in ``update_exec_range_ms`` with the configured
-        mean (Beta(1, b)-shaped within the range)."""
+    def update_exec_sampler(self,
+                            rng: RandomStream) -> typing.Callable[[], float]:
+        """Zero-argument draws of a service time in
+        ``update_exec_range_ms`` with the configured mean (Beta(1,
+        b)-shaped within the range), from ``rng``."""
         low, high = self.update_exec_range_ms
         mean_frac = (self.update_exec_mean_ms - low) / (high - low)
         b = 1.0 / mean_frac - 1.0
-        return low + (high - low) * rng.betavariate(1.0, b)
+        return rng.beta_sampler(1.0, b, low, high)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -268,26 +273,55 @@ class StockWorkloadGenerator:
             factor = max(factor, crowd.factor_at(t_ms))
         return self.spec.base_query_rate_at(t_ms) * factor
 
+    # The two row loops below run once per transaction of the trace, so
+    # every draw is a C call or one sampler closure, with its constants
+    # in locals: the Zipf ranks bisect the cached CDF and index the
+    # universe's rank -> symbol lists, and the read-set size, the
+    # distinct-stock rejection, the geometric burst size and the price
+    # walk are written out.  Each consumes its stream's uniforms exactly
+    # as ``tests/trace_reference.py``'s stdlib calls do.
     def _generate_queries(self, universe: StockUniverse,
                           streams: StreamRegistry
                           ) -> RecordColumns[QueryRecord]:
         spec = self.spec
         rate_rng = streams.stream("query.arrivals")
-        pick_rng = streams.stream("query.stocks")
-        rank = pick_rng.zipf_sampler(universe.n_stocks, spec.query_zipf_theta)
-        exec_rng = streams.stream("query.exec")
+        arrival_u = rate_rng.random
+        pick = streams.stream("query.stocks").random
+        cdf = zipf_cdf(universe.n_stocks, spec.query_zipf_theta)
+        ranked = universe.query_ranked
+        # Read-set size n takes a uniform up to the n-th cumulative
+        # probability; one above the last (rounding) takes the largest.
+        bounds = list(itertools.accumulate(spec.read_set_pmf))
+        largest = len(bounds)
+        exec_u = streams.stream("query.exec").random
+        exec_low, exec_high = spec.query_exec_range_ms
+        exec_span = exec_high - exec_low
         columns: tuple[Column, ...] = (array("d"), [], array("d"))
         pending: list[Row] = []
+        append = pending.append
         for second_start in _seconds(spec.duration_ms):
             rate = self.query_rate_at(second_start)
             window = min(1000.0, spec.duration_ms - second_start)
             count = _poisson(rate_rng, rate * window / 1000.0)
             for __ in range(count):
-                arrival = second_start + rate_rng.random() * window
-                n_items = _draw_pmf(pick_rng, spec.read_set_pmf) + 1
-                items = _distinct_stocks(rank, universe, n_items)
-                exec_ms = exec_rng.uniform(*spec.query_exec_range_ms)
-                pending.append((arrival, items, exec_ms))
+                arrival = second_start + arrival_u() * window
+                u = pick()
+                for n_items, bound in enumerate(bounds, 1):
+                    if u <= bound:
+                        break
+                else:
+                    n_items = largest
+                # Distinct stocks by rejection, capped: with thousands of
+                # stocks collisions are rare.
+                items: list[str] = []
+                attempts = 0
+                while len(items) < n_items and attempts < 20 * n_items:
+                    attempts += 1
+                    symbol = ranked[bisect_left(cdf, pick())]
+                    if symbol not in items:
+                        items.append(symbol)
+                append((arrival, tuple(items),
+                        exec_low + exec_span * exec_u()))
             _flush(pending, columns, second_start + 1000.0)
         _flush(pending, columns, math.inf)
         return RecordColumns(QueryRecord, *columns)
@@ -297,34 +331,50 @@ class StockWorkloadGenerator:
                           ) -> RecordColumns[UpdateRecord]:
         spec = self.spec
         rate_rng = streams.stream("update.arrivals")
-        rank = streams.stream("update.stocks").zipf_sampler(
-            universe.n_stocks, spec.update_zipf_theta)
-        exec_rng = streams.stream("update.exec")
-        walk = PriceWalk(universe, streams.stream("update.prices"))
+        arrival_u = rate_rng.random
+        pick = streams.stream("update.stocks").random
+        cdf = zipf_cdf(universe.n_stocks, spec.update_zipf_theta)
+        ranked = universe.update_ranked
+        draw_exec = spec.update_exec_sampler(streams.stream("update.exec"))
+        # Each trade moves its stock's price by a factor 1 + N(0, 0.1 %).
+        prices = dict(universe.initial_prices)
+        step = streams.stream("update.prices").gauss_sampler(
+            0.0, PRICE_STEP_STDEV)
+        duration = spec.duration_ms
+        burst_window = spec.update_burst_window_ms
         columns: tuple[Column, ...] = (array("d"), [], array("d"),
                                        array("d"))
         pending: list[Row] = []
+        append = pending.append
         # Bursts (trade clusters) arrive as a Poisson process at the trade
         # rate divided by the mean burst size; each burst's trades hit the
-        # same stock within a short window.
+        # same stock within a short window.  A burst's size is geometric
+        # on {1, 2, ...} with success probability 1 / mean, by inversion
+        # (one uniform) unless the mean is 1.  The first trade lands at
+        # the burst's start (an offset of 0.0 would add nothing), the
+        # others spread over the window after it.
         burst_rate_scale = 1.0 / spec.update_burst_mean
         geo_p = 1.0 / spec.update_burst_mean
-        for second_start in _seconds(spec.duration_ms):
+        log_q = math.log(1.0 - geo_p) if geo_p < 1.0 else 0.0
+        log = math.log
+        for second_start in _seconds(duration):
             rate = spec.update_rate_at(second_start) * burst_rate_scale
-            window = min(1000.0, spec.duration_ms - second_start)
+            window = min(1000.0, duration - second_start)
             n_bursts = _poisson(rate_rng, rate * window / 1000.0)
             for __ in range(n_bursts):
-                burst_start = second_start + rate_rng.random() * window
-                symbol = universe.stock_for_update_rank(rank() - 1)
-                burst_size = _geometric(rate_rng, geo_p)
-                for trade in range(burst_size):
-                    offset = (0.0 if trade == 0 else
-                              rate_rng.random() * spec.update_burst_window_ms)
-                    arrival = min(burst_start + offset,
-                                  spec.duration_ms)
-                    exec_ms = spec.sample_update_exec(exec_rng)
-                    pending.append((arrival, symbol, exec_ms,
-                                    walk.next_price(symbol)))
+                burst_start = second_start + arrival_u() * window
+                symbol = ranked[bisect_left(cdf, pick())]
+                more_trades = (
+                    0 if geo_p >= 1.0 else
+                    int(log(max(arrival_u(), 1e-300)) / log_q))
+                price = max(0.01, prices[symbol] * (1.0 + step()))
+                append((min(burst_start, duration), symbol, draw_exec(),
+                        price))
+                for __ in range(more_trades):
+                    price = max(0.01, price * (1.0 + step()))
+                    append((min(burst_start + arrival_u() * burst_window,
+                                duration), symbol, draw_exec(), price))
+                prices[symbol] = price
             _flush(pending, columns, second_start + 1000.0)
         _flush(pending, columns, math.inf)
         return RecordColumns(UpdateRecord, *columns)
@@ -355,7 +405,7 @@ def _flush(pending: list[Row], columns: tuple[Column, ...],
     precede new rows in ``pending`` and the sort is stable.
     """
     pending.sort(key=_ARRIVAL)
-    ready = bisect.bisect_left(pending, before_ms, key=_ARRIVAL)
+    ready = bisect_left(pending, before_ms, key=_ARRIVAL)
     if ready:
         for column, cells in zip(columns, zip(*pending[:ready])):
             column.extend(cells)
@@ -382,38 +432,3 @@ def _poisson(rng: RandomStream, mean: float) -> int:
         count += 1
         product *= rng.random()
     return count
-
-
-def _geometric(rng: RandomStream, p: float) -> int:
-    """Geometric variate on {1, 2, ...} with success probability ``p``."""
-    if p >= 1.0:
-        return 1
-    u = rng.random()
-    return 1 + int(math.log(max(u, 1e-300)) / math.log(1.0 - p))
-
-
-def _draw_pmf(rng: RandomStream,
-              pmf: typing.Sequence[float]) -> int:
-    u = rng.random()
-    acc = 0.0
-    for index, p in enumerate(pmf):
-        acc += p
-        if u <= acc:
-            return index
-    return len(pmf) - 1
-
-
-def _distinct_stocks(rank: typing.Callable[[], int],
-                     universe: StockUniverse,
-                     n_items: int) -> tuple[str, ...]:
-    chosen: list[str] = []
-    seen: set[str] = set()
-    # Cap the rejection loop; with thousands of stocks collisions are rare.
-    attempts = 0
-    while len(chosen) < n_items and attempts < 20 * n_items:
-        attempts += 1
-        symbol = universe.stock_for_query_rank(rank() - 1)
-        if symbol not in seen:
-            seen.add(symbol)
-            chosen.append(symbol)
-    return tuple(chosen)

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from repro.serve import LoadgenConfig, build_schedule, qc_to_wire
 from repro.sim.rng import RandomStream, StreamRegistry, _derive_seed
 from repro.workload.synthetic import StockWorkloadGenerator, WorkloadSpec
+from tests.trace_reference import reference_records
 from tests.zipf_reference import (bisect_cdf_reference,
                                   build_schedule_reference,
                                   zipf_rank_reference,
@@ -134,20 +135,116 @@ class TestCopies:
         assert twin.gauss(0.0, 1.0) == stream.gauss(0.0, 1.0)
 
 
+def _stdlib_twin(seed):
+    """Two streams in the same state: one for a sampler, one for the
+    stdlib call it restates."""
+    return RandomStream(seed, "twin"), RandomStream(seed, "twin")
+
+
+class TestExactSamplers:
+    """``beta_sampler`` and ``gauss_sampler`` draw exactly what the
+    running interpreter's ``betavariate`` and ``gauss`` draw: the same
+    values, bit for bit, and the same stream state afterwards."""
+
+    SHAPES = (0.3, 1.0, 1.5, 7.0)  # GS, exponential, Cheng, Cheng
+
+    @pytest.mark.parametrize("alpha", SHAPES)
+    @pytest.mark.parametrize("beta", SHAPES)
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    def test_beta_sampler_matches_betavariate(self, alpha, beta, seed):
+        stream, reference = _stdlib_twin(seed)
+        draw = stream.beta_sampler(alpha, beta)
+        assert [draw() for __ in range(400)] == [
+            reference.betavariate(alpha, beta) for __ in range(400)]
+        assert stream.getstate() == reference.getstate()
+
+    @pytest.mark.parametrize("mean", [1.5, 2.6, 3.0, 4.5])
+    def test_beta_sampler_range_matches_scaled_betavariate(self, mean):
+        # The update service-time law on 1-5 ms: b > 1, b == 1, b < 1.
+        low, high = 1.0, 5.0
+        b = 1.0 / ((mean - low) / (high - low)) - 1.0
+        stream, reference = _stdlib_twin(11)
+        draw = stream.beta_sampler(1.0, b, low, high)
+        assert [draw() for __ in range(400)] == [
+            low + (high - low) * reference.betavariate(1.0, b)
+            for __ in range(400)]
+        assert stream.getstate() == reference.getstate()
+
+    @pytest.mark.parametrize("beta", [1.5, 0.3])
+    def test_beta_sampler_zero_first_draw(self, beta):
+        # A uniform of exactly 0.0 makes the exponential -0.0, so
+        # betavariate returns 0.0 without drawing the second gamma.
+        draws = {}
+        for name in ("sampler", "stdlib"):
+            fed = [0.5, 0.0]  # popped from the end
+            stream = RandomStream(3, "u")
+            stream.random = fed.pop
+            value = (stream.beta_sampler(1.0, beta)() if name == "sampler"
+                     else stream.betavariate(1.0, beta))
+            draws[name] = (value, fed)
+        assert draws["sampler"] == draws["stdlib"] == (0.0, [0.5])
+
+    @pytest.mark.parametrize("alpha,beta", [(0.0, 1.0), (1.0, -2.0),
+                                            (math.nan, 1.0)])
+    def test_beta_sampler_rejects_bad_shapes(self, alpha, beta):
+        with pytest.raises(ValueError):
+            RandomStream(0, "b").beta_sampler(alpha, beta)
+
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    @pytest.mark.parametrize("n", [1, 2, 401])
+    def test_gauss_sampler_matches_gauss(self, seed, n):
+        stream, reference = _stdlib_twin(seed)
+        draw = stream.gauss_sampler(0.0, 0.001)
+        assert [draw() for __ in range(n)] == [
+            reference.gauss(0.0, 0.001) for __ in range(n)]
+        # An odd count leaves a spare normal: it is in the state too.
+        assert stream.getstate() == reference.getstate()
+
+    def test_gauss_sampler_interleaves_with_gauss(self):
+        stream, reference = _stdlib_twin(5)
+        draw = stream.gauss_sampler(2.0, 3.0)
+        pattern = [0, 1, 1, 0, 0, 0, 1, 0, 1, 1, 1, 0] * 20
+        got = [draw() if p else stream.gauss(-1.0, 0.5) for p in pattern]
+        want = [reference.gauss(2.0, 3.0) if p else
+                reference.gauss(-1.0, 0.5) for p in pattern]
+        assert got == want
+        assert stream.getstate() == reference.getstate()
+
+    @pytest.mark.parametrize("copy_of", [
+        lambda stream: pickle.loads(pickle.dumps(stream)),
+        copy.deepcopy], ids=["pickle", "deepcopy"])
+    def test_copy_taken_mid_sequence_continues_it(self, copy_of):
+        stream, reference = _stdlib_twin(9)
+        beta = stream.beta_sampler(1.0, 1.5)
+        gauss = stream.gauss_sampler(0.0, 1.0)
+        for __ in range(7):  # odd: the copy carries a spare normal
+            assert beta() == reference.betavariate(1.0, 1.5)
+            assert gauss() == reference.gauss(0.0, 1.0)
+        twin = copy_of(stream)
+        assert twin.getstate() == reference.getstate()
+        twin_beta = twin.beta_sampler(1.0, 1.5)
+        twin_gauss = twin.gauss_sampler(0.0, 1.0)
+        for __ in range(50):
+            want = (reference.betavariate(1.0, 1.5),
+                    reference.gauss(0.0, 1.0))
+            assert (beta(), gauss()) == want
+            assert (twin_beta(), twin_gauss()) == want
+
+
 class TestZipfCdfCache:
     def test_cdf_terminates_at_one(self):
-        from repro.sim.rng import _zipf_cdf
-        cdf = _zipf_cdf(50, 0.8)
+        from repro.sim.rng import zipf_cdf
+        cdf = zipf_cdf(50, 0.8)
         assert cdf[-1] == 1.0
         assert all(b >= a for a, b in zip(cdf, cdf[1:]))
 
     def test_cache_returns_same_object(self):
-        from repro.sim.rng import _zipf_cdf
-        assert _zipf_cdf(64, 0.9) is _zipf_cdf(64, 0.9)
+        from repro.sim.rng import zipf_cdf
+        assert zipf_cdf(64, 0.9) is zipf_cdf(64, 0.9)
 
     def test_monotone_decreasing_mass(self):
-        from repro.sim.rng import _zipf_cdf
-        cdf = _zipf_cdf(20, 1.2)
+        from repro.sim.rng import zipf_cdf
+        cdf = zipf_cdf(20, 1.2)
         masses = [cdf[0]] + [b - a for a, b in zip(cdf, cdf[1:])]
         assert all(m1 >= m2 - 1e-12 for m1, m2 in zip(masses, masses[1:]))
         assert math.isclose(sum(masses), 1.0, rel_tol=1e-9)
@@ -213,13 +310,14 @@ class TestZipfAgainstReference:
         assert schedule == rows(build_schedule_reference(config))
 
     def test_stock_trace_is_value_identical(self, monkeypatch):
-        """A 60 s ``StockWorkloadGenerator`` trace, generated once as is
-        and once with its samplers swapped for the reference loop."""
+        """A 60 s ``StockWorkloadGenerator`` trace, which bisects the
+        cached CDF in its row loops, against the reference generator
+        with its Zipf draws swapped for the hand-written loop."""
         spec = WorkloadSpec().scaled(60_000.0)
         trace = StockWorkloadGenerator(spec, 7).generate()
         monkeypatch.setattr(RandomStream, "zipf_sampler",
                             zipf_sampler_reference)
-        reference = StockWorkloadGenerator(spec, 7).generate()
+        queries, updates = reference_records(spec, 7)
         assert len(trace.updates) > 10_000
-        assert trace.queries == reference.queries
-        assert trace.updates == reference.updates
+        assert trace.queries == queries
+        assert trace.updates == updates

@@ -38,14 +38,19 @@ class TestBitIdentity:
            duration_ms=st.one_of(st.floats(50.0, 999.0),
                                  st.floats(1_000.0, 12_000.0)),
            burst_window_ms=st.floats(0.0, 5_000.0),
-           burst_mean=st.floats(1.0, 6.0),
+           burst_mean=st.one_of(st.just(1.0), st.floats(1.0, 6.0)),
+           # Beta(1, b) service times on 1-5 ms: a mean of 3.0 makes b
+           # exactly 1.0, a lower one b > 1 and a higher one b < 1.
+           update_exec_mean_ms=st.one_of(st.just(3.0),
+                                         st.floats(1.05, 4.95)),
            hot=st.booleans())
     def test_matches_reference(self, seed, duration_ms, burst_window_ms,
-                               burst_mean, hot):
+                               burst_mean, update_exec_mean_ms, hot):
         spec = dataclasses.replace(
             WorkloadSpec().scaled(duration_ms),
             update_burst_window_ms=burst_window_ms,
-            update_burst_mean=burst_mean)
+            update_burst_mean=burst_mean,
+            update_exec_mean_ms=update_exec_mean_ms)
         assert_matches_reference(hot_key_spec(spec) if hot else spec, seed)
 
     @pytest.mark.parametrize("seed", [0, 7, 13])

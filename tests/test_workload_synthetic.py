@@ -16,7 +16,8 @@ from repro.workload.stocks import StockUniverse, ticker_symbol
 from repro.workload.synthetic import (PAPER_DURATION_MS, PAPER_N_QUERIES,
                                       PAPER_N_UPDATES, CrowdEpisode,
                                       StockWorkloadGenerator, WorkloadSpec,
-                                      _geometric, _poisson, paper_trace)
+                                      _poisson, paper_trace)
+from tests.trace_reference import _geometric
 
 
 @pytest.fixture(scope="module")
@@ -198,18 +199,14 @@ class TestStockUniverse:
     def test_rank_mappings_are_permutations(self):
         universe = StockUniverse(100, RandomStream(0, "u"),
                                  popularity_correlation=0.5)
-        query_ranked = {universe.stock_for_query_rank(r)
-                        for r in range(100)}
-        update_ranked = {universe.stock_for_update_rank(r)
-                         for r in range(100)}
-        assert query_ranked == update_ranked == set(universe.symbols)
+        assert len(universe.query_ranked) == len(universe.update_ranked) == 100
+        assert (set(universe.query_ranked) == set(universe.update_ranked)
+                == set(universe.symbols))
 
     def test_full_correlation_aligns_ranks(self):
         universe = StockUniverse(50, RandomStream(0, "u"),
                                  popularity_correlation=1.0)
-        for rank in range(50):
-            assert (universe.stock_for_query_rank(rank)
-                    == universe.stock_for_update_rank(rank))
+        assert universe.query_ranked == universe.update_ranked
 
     def test_invalid_correlation(self):
         with pytest.raises(ValueError):
@@ -243,7 +240,8 @@ class TestSamplers:
     def test_update_exec_sampler_bounds_and_mean(self):
         spec = WorkloadSpec()
         stream = RandomStream(0, "e")
-        samples = [spec.sample_update_exec(stream) for __ in range(5000)]
+        draw = spec.update_exec_sampler(stream)
+        samples = [draw() for __ in range(5000)]
         assert all(1.0 <= s <= 5.0 for s in samples)
         assert (sum(samples) / len(samples)
                 == pytest.approx(spec.update_exec_mean_ms, rel=0.03))

@@ -12,7 +12,7 @@ is bit-identical across the swap.
 
 from repro.qc.generator import QCFactory
 from repro.serve.loadgen import Arrival
-from repro.sim.rng import StreamRegistry, _zipf_cdf
+from repro.sim.rng import StreamRegistry, zipf_cdf
 
 
 def bisect_cdf_reference(cdf, u):
@@ -31,7 +31,7 @@ def zipf_rank_reference(stream, n, theta):
     """What ``stream.zipf_rank(n, theta)`` returned before the swap."""
     if n <= 0:
         raise ValueError("n must be positive")
-    return bisect_cdf_reference(_zipf_cdf(n, theta), stream.random()) + 1
+    return bisect_cdf_reference(zipf_cdf(n, theta), stream.random()) + 1
 
 
 def zipf_sampler_reference(stream, n, theta):
